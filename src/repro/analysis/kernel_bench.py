@@ -172,18 +172,32 @@ def bench_schedule_engine(iterations: int) -> Dict[str, float]:
     }
 
 
-def bench_cache_engine(iterations: int) -> Dict[str, float]:
+def bench_cache_engine(iterations: int,
+                       policy_name: str = "lru") -> Dict[str, float]:
     """End-to-end cache-baseline run (trace generation + vector kernel) at
-    exact granularity (g=1), the fidelity the vectorization buys back."""
+    exact granularity (g=1), the fidelity the vectorization buys back.
+
+    This is the real CG trace the Fig. 12 baselines replay, so its
+    ``accesses_per_s`` is the rate a user waits on — the synthetic
+    ``cache_*`` streams above overstate it — and ``tools/check_bench.py``
+    gates it like every other ``*_per_s`` rate.
+    """
     from ..workloads.cg import CgProblem, build_cg_dag
     from ..workloads.matrices import FV1
 
     cfg = AcceleratorConfig()
     dag = build_cg_dag(CgProblem(matrix=FV1, n=16, iterations=iterations))
-    engine = CacheEngine(cfg, LruPolicy(), granularity=1)
-    out: Dict[str, float] = {}
-    seconds = _timed(lambda: out.setdefault("dram", engine.run(dag).dram_bytes))
-    return {"seconds": seconds, "dram_bytes": out["dram"]}
+    engine = CacheEngine(cfg, _POLICIES[policy_name](), granularity=1)
+    t0 = time.perf_counter()
+    result = engine.run(dag)
+    seconds = time.perf_counter() - t0
+    accesses = result.onchip_accesses["cache"]
+    return {
+        "seconds": seconds,
+        "dram_bytes": result.dram_bytes,
+        "accesses": accesses,
+        "accesses_per_s": accesses / seconds if seconds else 0.0,
+    }
 
 
 def bench_analytic_eval(evals: int, sim_evals: int,
@@ -290,9 +304,11 @@ def run_kernel_bench(quick: bool = False) -> Dict:
     results["schedule_engine"] = bench_schedule_engine(
         iterations=20 if quick else 100
     )
-    results["cache_engine_g1"] = bench_cache_engine(
-        iterations=2 if quick else 8
-    )
+    for name, policy in (("cache_engine_g1", "lru"),
+                         ("cache_engine_g1_brrip", "brrip")):
+        results[name] = bench_cache_engine(
+            iterations=2 if quick else 8, policy_name=policy
+        )
     results["analytic_eval"] = bench_analytic_eval(
         evals=1_000 if quick else 10_000,
         sim_evals=3 if quick else 20,
@@ -339,8 +355,13 @@ def render_bench(report: Dict) -> str:
         f"chord events:    {res['chord_events']['events_per_s'] / 1e6:.2f} M events/s",
         f"schedule engine: {res['schedule_engine']['ops_per_s']:.0f} ops/s "
         f"({res['schedule_engine']['seconds'] * 1e3:.1f} ms)",
-        f"cache engine g=1: {res['cache_engine_g1']['seconds'] * 1e3:.1f} ms "
-        f"({res['cache_engine_g1']['dram_bytes'] / 1e6:.1f} MB DRAM)",
+        *(
+            f"cache engine g=1 {policy}: {r['seconds'] * 1e3:.1f} ms, "
+            f"{r['accesses_per_s'] / 1e6:.2f} M accesses/s "
+            f"({r['dram_bytes'] / 1e6:.1f} MB DRAM)"
+            for policy, r in (("lru", res["cache_engine_g1"]),
+                              ("brrip", res["cache_engine_g1_brrip"]))
+        ),
         f"analytic eval:   {res['analytic_eval']['analytic_evals_per_s']:.0f}"
         f" evals/s vs {res['analytic_eval']['simulated_evals_per_s']:.1f} "
         f"simulated — {res['analytic_eval']['analytic_over_simulated']:.0f}x",

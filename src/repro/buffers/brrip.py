@@ -11,10 +11,12 @@ prediction value) in [0, 2^bits - 1]:
   appears.
 
 The throttle uses a deterministic counter rather than an RNG so simulations
-are reproducible.  The counter is global across sets and shared by both the
-scalar (reference) and vectorized backends: the vectorized fill hook is
-handed fills in trace order precisely so the c-th fill overall gets the
-same long/distant decision either way.
+are reproducible.  The counter is global across the sets of one cache and
+lives in that cache's policy state, in both the scalar (reference) and
+vectorized backends, so a policy object reused for another cache starts
+counting from zero again.  The vectorized fill hook is handed fills in trace
+order precisely so the c-th fill overall gets the same long/distant
+decision either way.
 """
 
 from __future__ import annotations
@@ -26,15 +28,24 @@ import numpy as np
 
 
 @dataclass
+class _FillCount:
+    """Fills so far in one cache, shared by all of its sets."""
+
+    n: int = 0
+
+
+@dataclass
 class _BrripSet:
     rrpv: List[int]
+    fills: _FillCount = field(default_factory=_FillCount)
 
 
 @dataclass
 class _RrpvMatrix:
-    """Array state: one RRPV per (set, way)."""
+    """Array state: one RRPV per (set, way), plus the cache's fill count."""
 
     rrpv: np.ndarray            # (n_sets, assoc) int16
+    fills: int = 0
 
 
 class BrripPolicy:
@@ -50,12 +61,20 @@ class BrripPolicy:
             raise ValueError("bimodal_throttle must be >= 1")
         self.max_rrpv = (1 << bits) - 1
         self.throttle = bimodal_throttle
+        # Fills inserted over every cache this policy has served; a
+        # statistic only, insertion decisions use the per-cache count.
         self._fill_counter = 0
 
     # -- scalar reference backend ------------------------------------------------
 
     def make_set_state(self, assoc: int) -> _BrripSet:
         return _BrripSet(rrpv=[self.max_rrpv] * assoc)
+
+    def make_set_states(self, n_sets: int, assoc: int) -> List[_BrripSet]:
+        """One cache's set states, sharing that cache's fill count."""
+        fills = _FillCount()
+        return [_BrripSet(rrpv=[self.max_rrpv] * assoc, fills=fills)
+                for _ in range(n_sets)]
 
     def on_hit(self, state: _BrripSet, way: int) -> None:
         state.rrpv[way] = 0
@@ -71,7 +90,8 @@ class BrripPolicy:
 
     def on_fill(self, state: _BrripSet, way: int) -> None:
         self._fill_counter += 1
-        if self._fill_counter % self.throttle == 0:
+        state.fills.n += 1
+        if state.fills.n % self.throttle == 0:
             state.rrpv[way] = self.max_rrpv - 1  # rare "long" insertion
         else:
             state.rrpv[way] = self.max_rrpv      # common "distant" insertion
@@ -104,14 +124,15 @@ class BrripPolicy:
     def vec_on_fill(self, state: _RrpvMatrix, rows: np.ndarray,
                     ways: np.ndarray, times: np.ndarray) -> None:
         """Fill a batch of (set, way) slots; fills MUST be in trace order so
-        the global bimodal counter assigns the same rare "long" insertions
+        the cache's bimodal counter assigns the same rare "long" insertions
         as the scalar backend."""
         k = len(ways)
         if k == 0:
             return
-        vals = self._fill_counter + 1 + np.arange(k, dtype=np.int64)
+        vals = state.fills + 1 + np.arange(k, dtype=np.int64)
         long_ins = (vals % self.throttle) == 0
         state.rrpv[rows, ways] = np.where(
             long_ins, self.max_rrpv - 1, self.max_rrpv
         ).astype(np.int16)
+        state.fills += k
         self._fill_counter += k

@@ -13,10 +13,24 @@ Two backends produce byte-identical :class:`BufferStats`:
     Array-state simulation.  Accesses are resolved in *conflict-free
     batches* — maximal contiguous runs of the trace in which every set
     index appears at most once — so hit detection, victim choice, fills
-    and writeback accounting are whole-batch numpy ops instead of a
-    Python loop with an ``np.nonzero`` per access.  Within a batch the
+    and writeback accounting are whole-batch numpy ops.  Within a batch the
     per-set states cannot interact, and batches are processed in trace
     order, so the result is exactly the sequential simulation.
+
+    Two pieces of exact state keep the per-access work small:
+
+    * a *residency map*, one signed byte per block of the observed block
+      span (wider only when ``associativity`` exceeds 127), holding the way
+      that caches the block or -1.  Hit detection is one gather from it;
+      it grows on demand and costs one byte per block of span, which for
+      :class:`~repro.sim.address_map.AddressMap` traces is the DAG
+      footprint (at most 4.6M blocks on the Fig. 12 grid);
+    * a *per-set fill counter*.  Lines are never invalidated, so a set's
+      invalid ways are exactly ways ``fill..assoc-1`` and the counter
+      names the next one to fill without scanning the tag row.
+
+    Single-line accesses run as one-element batches, so the map has one
+    writer.
 
 ``reference``
     The original scalar per-access loop over per-set policy objects, kept
@@ -25,7 +39,9 @@ Two backends produce byte-identical :class:`BufferStats`:
 
 Replacement policies implement per-set state: :class:`LruPolicy` and
 :class:`BrripPolicy` live in sibling modules and provide both the scalar
-and the array-state (``vec_*``) protocol.
+and the array-state (``vec_*``) protocol.  Per-cache policy state lives in
+the cache (built by ``make_vector_state`` / ``make_set_state``), so one
+policy instance can serve several caches in turn.
 """
 
 from __future__ import annotations
@@ -53,6 +69,10 @@ class ReplacementPolicy(Protocol):
     ``choose_victim`` picks the way to replace, ``on_fill`` records an
     insertion.  Policies that additionally implement the ``vec_*`` family
     (see :class:`VectorReplacementPolicy`) unlock the vectorized backend.
+
+    A policy whose sets share state within one cache (BRRIP's bimodal
+    fill counter) may also define ``make_set_states(n_sets, assoc)``,
+    returning every set's state of one cache at once.
     """
 
     def make_set_state(self, assoc: int) -> object: ...
@@ -87,6 +107,15 @@ class VectorReplacementPolicy(Protocol):
 def supports_vector(policy: object) -> bool:
     """Whether ``policy`` implements the array-state protocol."""
     return all(callable(getattr(policy, m, None)) for m in _VECTOR_METHODS)
+
+
+def residency_dtype(assoc: int) -> np.dtype:
+    """Smallest signed integer dtype that holds way indices up to ``assoc``
+    (and -1 for "not resident")."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if np.iinfo(dtype).max >= assoc:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 class SetAssociativeCache:
@@ -142,15 +171,20 @@ class SetAssociativeCache:
         if backend == "vector":
             self._vstate = policy.make_vector_state(self.n_sets, self.assoc)
             self._tick = 0  # global access-order clock (LRU timestamps)
-            # Reusable singleton argument arrays for the access_line fast
-            # path (policy hooks only read them).
-            self._one_row = np.empty(1, dtype=np.int64)
-            self._one_way = np.empty(1, dtype=np.int64)
-            self._one_time = np.empty(1, dtype=np.int64)
+            # Residency map: _where[b - _base] is the way holding block b,
+            # or -1.  Covers the block span seen so far (see _cover).
+            self._where = np.empty(0, dtype=residency_dtype(self.assoc))
+            self._base = 0
+            # Ways filled per set.  Lines are never invalidated, so set s's
+            # invalid ways are exactly _fill[s], ..., assoc - 1.
+            self._fill = np.zeros(self.n_sets, dtype=np.int64)
         else:
-            self._pol_state: List[object] = [
-                policy.make_set_state(self.assoc) for _ in range(self.n_sets)
-            ]
+            make_all = getattr(policy, "make_set_states", None)
+            self._pol_state: List[object] = (
+                make_all(self.n_sets, self.assoc) if make_all is not None
+                else [policy.make_set_state(self.assoc)
+                      for _ in range(self.n_sets)]
+            )
 
     # -- single access ----------------------------------------------------------
 
@@ -160,43 +194,13 @@ class SetAssociativeCache:
         ``block`` is the address divided by ``line_bytes``.
         """
         if self.backend == "vector":
-            return self._access_line_vector(block, is_write)
+            self._cover(block, block)
+            blocks = np.array([block], dtype=np.int64)
+            return bool(self._run_batch(
+                blocks, blocks % self.n_sets, blocks - self._base,
+                np.array([is_write]),
+            )[0])
         return self._access_line_reference(block, is_write)
-
-    def _access_line_vector(self, block: int, is_write: bool) -> bool:
-        """Scalar access against the array state (no batch machinery) —
-        the same transitions as a one-element ``_run_batch``."""
-        set_idx = int(block % self.n_sets)
-        tag = int(block // self.n_sets)
-        rows, ways, times = self._one_row, self._one_way, self._one_time
-        rows[0] = set_idx
-        times[0] = self._tick
-        self._tick += 1
-        self.stats.accesses += 1
-        row = self._tags[set_idx]
-        hit_ways = np.nonzero(row == tag)[0]
-        if hit_ways.size:
-            ways[0] = hit_ways[0]
-            self.stats.hits += 1
-            self.policy.vec_on_hit(self._vstate, rows, ways, times)
-            if is_write:
-                self._dirty[set_idx, ways[0]] = True
-            return True
-        self.stats.misses += 1
-        self.stats.dram_read_bytes += self.line_bytes
-        invalid = np.nonzero(row == -1)[0]
-        if invalid.size:
-            ways[0] = invalid[0]
-        else:
-            ways[0] = self.policy.vec_choose_victims(self._vstate, rows)[0]
-            self.stats.evictions += 1
-            if self._dirty[set_idx, ways[0]]:
-                self.stats.writebacks += 1
-                self.stats.dram_write_bytes += self.line_bytes
-        row[ways[0]] = tag
-        self._dirty[set_idx, ways[0]] = is_write
-        self.policy.vec_on_fill(self._vstate, rows, ways, times)
-        return False
 
     def _access_line_reference(self, block: int, is_write: bool) -> bool:
         set_idx = block % self.n_sets
@@ -232,30 +236,48 @@ class SetAssociativeCache:
 
     # -- vectorized kernel --------------------------------------------------------
 
-    def _run_batch(self, blocks: np.ndarray, writes: np.ndarray) -> np.ndarray:
+    def _cover(self, lo: int, hi: int) -> None:
+        """Grow the residency map to cover blocks ``lo..hi``.
+
+        Growth past the current span adds an eighth of it as slack, so a
+        span that creeps one access at a time is copied O(log n) times.
+        """
+        size = self._where.shape[0]
+        base = self._base if size else lo      # an empty map sits at lo
+        end = base + size
+        if base <= lo and hi < end:
+            return
+        slack = size // 8
+        new_lo = min(lo, base - slack) if lo < base else base
+        new_end = max(hi + 1, end + slack) if hi >= end else end
+        grown = np.full(new_end - new_lo, -1, dtype=self._where.dtype)
+        grown[base - new_lo: end - new_lo] = self._where
+        self._where, self._base = grown, new_lo
+
+    def _run_batch(self, blocks: np.ndarray, sets: np.ndarray,
+                   slots: np.ndarray, writes: np.ndarray) -> np.ndarray:
         """Resolve one conflict-free batch (unique set index per access).
 
+        ``sets`` and ``slots`` are the blocks' set indices and residency-map
+        offsets (``blocks - _base``; the map must already cover them).
         Returns the per-access hit mask.  Because no set appears twice, the
         per-set states are independent within the batch; the only cross-set
-        coupling — BRRIP's global fill counter — is preserved by handing
-        fills to ``vec_on_fill`` in trace order.
+        coupling — BRRIP's fill counter — is preserved by handing fills to
+        ``vec_on_fill`` in trace order.
         """
         n = blocks.shape[0]
-        sets = blocks % self.n_sets
-        tags = blocks // self.n_sets
         times = self._tick + np.arange(n, dtype=np.int64)
         self._tick += n
-        rows = self._tags[sets]                         # (n, assoc) snapshot
-        hit_mat = rows == tags[:, None]
-        hit_mask = hit_mat.any(axis=1)
-        n_hits = int(hit_mask.sum())
+        ways = self._where[slots]
+        hit_mask = ways >= 0
+        n_hits = int(np.count_nonzero(hit_mask))
         self.stats.accesses += n
         self.stats.hits += n_hits
         self.stats.misses += n - n_hits
 
         if n_hits:
             h_sets = sets[hit_mask]
-            h_ways = hit_mat[hit_mask].argmax(axis=1)
+            h_ways = ways[hit_mask].astype(np.intp)
             self.policy.vec_on_hit(self._vstate, h_sets, h_ways, times[hit_mask])
             hw = writes[hit_mask]
             self._dirty[h_sets[hw], h_ways[hw]] = True
@@ -264,23 +286,25 @@ class SetAssociativeCache:
         if n_miss:
             miss_mask = ~hit_mask
             m_sets = sets[miss_mask]
-            m_tags = tags[miss_mask]
-            m_writes = writes[miss_mask]
-            invalid_mat = rows[miss_mask] == -1
-            has_inv = invalid_mat.any(axis=1)
-            victims = invalid_mat.argmax(axis=1)   # first invalid way, if any
-            full = ~has_inv
-            n_evict = int(full.sum())
+            victims = self._fill[m_sets]
+            full = victims == self.assoc
+            n_evict = int(np.count_nonzero(full))
+            if n_evict < n_miss:
+                self._fill[m_sets[~full]] += 1
             if n_evict:
-                chosen = self.policy.vec_choose_victims(self._vstate, m_sets[full])
+                e_sets = m_sets[full]
+                chosen = self.policy.vec_choose_victims(self._vstate, e_sets)
                 victims[full] = chosen
+                evicted = self._tags[e_sets, chosen] * self.n_sets + e_sets
+                self._where[evicted - self._base] = -1
                 self.stats.evictions += n_evict
-                n_wb = int(self._dirty[m_sets[full], chosen].sum())
+                n_wb = int(np.count_nonzero(self._dirty[e_sets, chosen]))
                 self.stats.writebacks += n_wb
                 self.stats.dram_write_bytes += n_wb * self.line_bytes
             self.stats.dram_read_bytes += n_miss * self.line_bytes
-            self._tags[m_sets, victims] = m_tags
-            self._dirty[m_sets, victims] = m_writes
+            self._tags[m_sets, victims] = blocks[miss_mask] // self.n_sets
+            self._dirty[m_sets, victims] = writes[miss_mask]
+            self._where[slots[miss_mask]] = victims
             self.policy.vec_on_fill(self._vstate, m_sets, victims,
                                     times[miss_mask])
         return hit_mask
@@ -301,15 +325,20 @@ class SetAssociativeCache:
             return
         sets = blocks % self.n_sets
         order = np.argsort(sets, kind="stable")
-        next_occ = np.full(n, n, dtype=np.int64)
         sorted_sets = sets[order]
         same = sorted_sets[1:] == sorted_sets[:-1]
+        del sorted_sets
+        next_occ = np.full(n, n, dtype=np.int64)
         next_occ[order[:-1][same]] = order[1:][same]
-        sufmin = np.minimum.accumulate(next_occ[::-1])[::-1]
+        del order, same
+        # Suffix minimum, in place over the reversed view.
+        np.minimum.accumulate(next_occ[::-1], out=next_occ[::-1])
+        self._cover(int(blocks.min()), int(blocks.max()))
+        slots = blocks - self._base
         s = 0
         while s < n:
-            e = int(sufmin[s])       # next_occ[i] > i, so e > s always
-            self._run_batch(blocks[s:e], writes[s:e])
+            e = int(next_occ[s])     # next_occ[i] > i, so e > s always
+            self._run_batch(blocks[s:e], sets[s:e], slots[s:e], writes[s:e])
             s = e
 
     # -- streams ------------------------------------------------------------------
@@ -397,8 +426,9 @@ class SetAssociativeCache:
         w = np.asarray(writes, dtype=bool)
         total = int(c.sum())
         seg_starts = np.cumsum(c) - c
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, c)
-        blocks = np.repeat(f, c) + offsets
+        # blocks[i] = first block of i's segment + (i - segment start)
+        blocks = np.repeat(f - seg_starts, c)
+        blocks += np.arange(total, dtype=np.int64)
         self._simulate_blocks(blocks, np.repeat(w, c))
 
     def flush(self) -> None:

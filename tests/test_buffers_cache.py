@@ -5,11 +5,18 @@ the simulator must match exactly, and behavioural checks of BRRIP's
 scan resistance (the property the paper's Fig. 11 leans on).
 """
 
+import random
+
 import pytest
 
 from repro.buffers.brrip import BrripPolicy
 from repro.buffers.cache import SetAssociativeCache
 from repro.buffers.lru import LruPolicy
+from repro.hw.config import AcceleratorConfig
+from repro.sim.engine import CacheEngine
+from repro.sim.trace import StreamSegment
+from repro.workloads.cg import CgProblem, build_cg_dag
+from repro.workloads.matrices import FV1
 
 
 def lru_cache(capacity=1024, line=16, assoc=4):
@@ -171,6 +178,33 @@ class TestBrrip:
         lru_hits = run(LruPolicy())
         assert brrip_hits >= lru_hits
         assert brrip_hits > 0
+
+    @pytest.mark.parametrize("backend", ["vector", "reference"])
+    def test_reused_policy_starts_each_cache_fresh(self, backend):
+        """The bimodal fill counter belongs to one cache: a policy object
+        replayed over the same stream in a second and third cache must
+        insert exactly as a fresh one does, not resume mid-count."""
+        rng = random.Random(2)
+        segments = [StreamSegment("T", 16 * rng.randrange(0, 400), 16,
+                                  rng.random() < 0.3)
+                    for _ in range(3000)]
+
+        def replay(policy):
+            cache = SetAssociativeCache(2048, 16, 4, policy, backend=backend)
+            cache.access_segments(segments)
+            cache.flush()
+            return cache.stats.as_dict()
+
+        fresh = replay(BrripPolicy(bimodal_throttle=4))
+        shared = BrripPolicy(bimodal_throttle=4)
+        assert [replay(shared) for _ in range(3)] == [fresh] * 3
+
+    def test_cache_engine_rerun_is_identical(self):
+        engine = CacheEngine(AcceleratorConfig(), BrripPolicy(),
+                             granularity=4)
+        # Two CG iterations: enough fills for the throttle phase to matter.
+        dag = build_cg_dag(CgProblem(matrix=FV1, n=16, iterations=2))
+        assert engine.run(dag) == engine.run(dag)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -15,9 +15,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.buffers.brrip import BrripPolicy
-from repro.buffers.cache import SetAssociativeCache, supports_vector
+from repro.buffers.cache import (
+    SetAssociativeCache,
+    residency_dtype,
+    supports_vector,
+)
 from repro.buffers.lru import LruPolicy
 from repro.buffers.srrip import SrripPolicy
 from repro.hw.config import AcceleratorConfig
@@ -191,6 +197,109 @@ class TestAdversarialParity:
         replay_segments(vec, segments)
         assert_identical(ref, vec)
         assert vec.stats.accesses == 3
+
+
+class TestResidencyMapParity:
+    """The vector backend's residency map (block -> way) and per-set fill
+    counters against the reference tag scan: growth in both directions,
+    single-line accesses mixed with batches, sparse spans, and the
+    associativity where the map's dtype widens."""
+
+    @pytest.mark.parametrize(
+        "policy,chunk", list(itertools.product(POLICIES, (3, 64)))
+    )
+    def test_span_grows_down_then_up(self, policy, chunk):
+        rng = random.Random(17)
+        ref, vec = pair(policy)
+        phases = [(6000, 7000), (0, 1500), (12000, 14000), (3000, 9000)]
+        bases = []
+        for lo, hi in phases:
+            segments = [
+                StreamSegment("T", 16 * rng.randrange(lo, hi),
+                              16 * rng.randrange(1, 6), rng.random() < 0.4)
+                for _ in range(150)
+            ]
+            replay_segments(ref, segments)
+            replay_segments(vec, segments, chunk_accesses=chunk)
+            assert_identical(ref, vec)
+            bases.append((vec._base, vec._base + vec._where.shape[0]))
+        assert bases[1][0] < bases[0][0]      # grew downward
+        assert bases[2][1] > bases[1][1]      # then upward
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_access_line_interleaved_with_segments(self, policy):
+        rng = random.Random(23)
+        ref, vec = pair(policy)
+        for _ in range(60):
+            if rng.random() < 0.5:
+                block = rng.randrange(0, 2048)
+                is_write = rng.random() < 0.5
+                assert vec.access_line(block, is_write) == \
+                    ref.access_line(block, is_write)
+            else:
+                segments = [StreamSegment("T", rng.randrange(0, 1 << 15),
+                                          rng.randrange(1, 300),
+                                          rng.random() < 0.3)
+                            for _ in range(rng.randrange(1, 6))]
+                replay_segments(ref, segments)
+                replay_segments(vec, segments, chunk_accesses=50)
+            assert_identical(ref, vec)
+
+    @pytest.mark.parametrize("policy", list(POLICIES))
+    def test_far_apart_extents(self, policy):
+        """Two extents ~2^24 blocks apart: one map spans both."""
+        far = 16 << 24
+        rng = random.Random(29)
+        segments = []
+        for _ in range(400):
+            base = far if rng.random() < 0.5 else 0
+            segments.append(StreamSegment("T", base + 16 * rng.randrange(0, 400),
+                                          16 * rng.randrange(1, 4),
+                                          rng.random() < 0.3))
+        ref, vec = pair(policy)
+        replay_segments(ref, segments)
+        replay_segments(vec, segments, chunk_accesses=100)
+        assert_identical(ref, vec)
+        assert vec._where.shape[0] > 1 << 24
+
+    @pytest.mark.parametrize(
+        "policy,assoc", list(itertools.product(POLICIES, (127, 128)))
+    )
+    def test_map_dtype_boundary(self, policy, assoc):
+        assert residency_dtype(127) == np.int8
+        assert residency_dtype(128) == np.int16
+        ref, vec = pair(policy, capacity=4 * assoc * 16, assoc=assoc)
+        assert vec._where.dtype == residency_dtype(assoc)
+        rng = random.Random(assoc)
+        blocks = np.array([rng.randrange(0, 4 * assoc * 3)
+                           for _ in range(3000)], dtype=np.int64)
+        writes = np.array([rng.random() < 0.3 for _ in range(3000)])
+        for b, w in zip(blocks.tolist(), writes.tolist()):
+            ref.access_line(b, w)
+        vec._simulate_blocks(blocks, writes)
+        assert_identical(ref, vec)
+        assert vec.stats.evictions > 0
+
+    @given(
+        policy=st.sampled_from(sorted(POLICIES)),
+        segments=st.lists(
+            st.tuples(st.integers(0, 1 << 13), st.integers(1, 200),
+                      st.booleans()),
+            min_size=1, max_size=40,
+        ),
+        chunk=st.integers(1, 300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_streams_property(self, policy, segments, chunk):
+        segs = [StreamSegment("T", start, nbytes, w)
+                for start, nbytes, w in segments]
+        ref, vec = pair(policy, capacity=1024, assoc=2)
+        replay_segments(ref, segs)
+        replay_segments(vec, segs, chunk_accesses=chunk)
+        assert_identical(ref, vec)
+        ref.flush()
+        vec.flush()
+        assert vec.stats.as_dict() == ref.stats.as_dict()
 
 
 class TestBackendSelection:

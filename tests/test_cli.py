@@ -31,6 +31,8 @@ class TestCli:
                     "chord_events": kernel_bench.bench_chord_events(8, 3),
                     "schedule_engine": kernel_bench.bench_schedule_engine(2),
                     "cache_engine_g1": kernel_bench.bench_cache_engine(1),
+                    "cache_engine_g1_brrip": kernel_bench.bench_cache_engine(
+                        1, "brrip"),
                     "analytic_eval": kernel_bench.bench_analytic_eval(
                         2, sim_evals=1, batch_points=64),
                 },
@@ -44,6 +46,8 @@ class TestCli:
         assert lru["speedup"] > 1.0
         assert lru["vector_accesses_per_s"] > lru["reference_accesses_per_s"]
         assert report["results"]["analytic_eval"]["analytic_over_simulated"] > 1.0
+        for name in ("cache_engine_g1", "cache_engine_g1_brrip"):
+            assert report["results"][name]["accesses_per_s"] > 0
         assert "Cache kernel backends" in capsys.readouterr().out
 
     def test_list_workloads(self, capsys):

@@ -86,6 +86,9 @@ class TestBenchGate:
             "cache_lru": {"vector_accesses_per_s": 1e6,
                           "reference_accesses_per_s": 1e5,
                           "speedup": 10.0},
+            "cache_engine_g1": {"seconds": 0.5, "accesses_per_s": 2e6},
+            "cache_engine_g1_brrip": {"seconds": 0.6,
+                                      "accesses_per_s": 1.5e6},
             "analytic_eval": {"analytic_evals_per_s": 1e5,
                               "simulated_evals_per_s": 100.0,
                               "analytic_over_simulated": 1000.0,
@@ -138,6 +141,14 @@ class TestBenchGate:
                               10.0, 1.5, 100.0)
         assert any("analytic_evals_per_s" in p for p in problems)
 
+    def test_real_trace_rate_regression_caught(self):
+        cb = _tool("check_bench")
+        fresh = self._fresh()
+        fresh["results"]["cache_engine_g1_brrip"]["accesses_per_s"] = 1e5
+        problems = cb.compare(self.BASE, fresh, 10.0, 1.5, 100.0)
+        assert any("cache_engine_g1_brrip.accesses_per_s" in p
+                   for p in problems)
+
     def test_dropped_bench_still_caught(self):
         cb = _tool("check_bench")
         fresh = json.loads(json.dumps(self.BASE))
@@ -172,6 +183,12 @@ class TestBenchGate:
         assert entry["batch_over_pointwise"] >= 50.0
         assert entry["batch_points"] >= 100_000
 
+    def test_committed_baseline_carries_the_real_trace_rates(self):
+        baseline = json.loads(
+            (REPO_ROOT / "BENCH_kernels.json").read_text())
+        for name in ("cache_engine_g1", "cache_engine_g1_brrip"):
+            assert baseline["results"][name]["accesses_per_s"] > 0
+
 
 class TestAnalyticBench:
     def test_bench_analytic_eval_measures_both_paths(self):
@@ -194,7 +211,10 @@ class TestAnalyticBench:
             "results": {
                 "chord_events": {"events_per_s": 1e6},
                 "schedule_engine": {"ops_per_s": 1000.0, "seconds": 0.1},
-                "cache_engine_g1": {"seconds": 0.5, "dram_bytes": 1e7},
+                "cache_engine_g1": {"seconds": 0.5, "dram_bytes": 1e7,
+                                    "accesses_per_s": 2e6},
+                "cache_engine_g1_brrip": {"seconds": 0.6, "dram_bytes": 1e7,
+                                          "accesses_per_s": 1.5e6},
                 "analytic_eval": {"analytic_evals_per_s": 1e5,
                                   "simulated_evals_per_s": 100.0,
                                   "analytic_over_simulated": 1000.0,

@@ -497,17 +497,46 @@ def _add_service_addr_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _open_request_log(path: Optional[str]):
-    if path is None:
-        return None
+def _add_daemon_obs_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--log-json", nargs="?", const="-", default=None, metavar="PATH",
+        help="write one JSON line per served request to PATH "
+             "(default stderr)",
+    )
+    parser.add_argument(
+        "--prom-port", type=int, default=None, metavar="N",
+        help="serve Prometheus text-format metrics on this port "
+             "(GET /metrics; 0 picks a free port)",
+    )
+
+
+def _daemon_obs_kwargs(args: argparse.Namespace) -> Dict[str, object]:
+    """``request_log`` / ``prom_port`` constructor arguments of either
+    daemon role, from :func:`_add_daemon_obs_args` flags."""
     from .service import RequestLog
 
-    return RequestLog.open(path)
+    return {"request_log": (RequestLog.open(args.log_json)
+                            if args.log_json is not None else None),
+            "prom_port": args.prom_port}
+
+
+def _run_daemon(daemon, args: argparse.Namespace) -> int:
+    """Serve ``daemon`` (either role) until interrupted or shut down."""
+    import asyncio
+
+    try:
+        asyncio.run(daemon.run(announce=print))
+    except KeyboardInterrupt:
+        print(f"repro {daemon.NAME} interrupted; shutting down",
+              file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot serve on {args.host}:{args.port}: {exc}",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def _serve_main(argv: List[str]) -> int:
-    import asyncio
-
     from .service import SimulationService
 
     parser = argparse.ArgumentParser(
@@ -554,16 +583,7 @@ def _serve_main(argv: List[str]) -> int:
         help="weighted round-robin share for a client id (repeatable; "
              "default weight 1)",
     )
-    parser.add_argument(
-        "--log-json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write one JSON line per served request to PATH "
-             "(default stderr)",
-    )
-    parser.add_argument(
-        "--prom-port", type=int, default=None, metavar="N",
-        help="serve Prometheus text-format metrics on this port "
-             "(GET /metrics; 0 picks a free port)",
-    )
+    _add_daemon_obs_args(parser)
     parser.add_argument(
         "--phase-profile", action="store_true",
         help="time trace-gen / cache-kernel / CHORD-accounting phases "
@@ -596,24 +616,13 @@ def _serve_main(argv: List[str]) -> int:
         quota=args.client_quota,
         weights=weights,
         bulk_threshold=args.bulk_threshold,
-        request_log=_open_request_log(args.log_json),
-        prom_port=args.prom_port,
         phase_profile=args.phase_profile,
+        **_daemon_obs_kwargs(args),
     )
-    try:
-        asyncio.run(service.run(announce=print))
-    except KeyboardInterrupt:
-        print("repro service interrupted; shutting down", file=sys.stderr)
-    except OSError as exc:
-        print(f"cannot serve on {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _run_daemon(service, args)
 
 
 def _gateway_main(argv: List[str]) -> int:
-    import asyncio
-
     from .service import GatewayService, parse_shard_addrs
 
     parser = argparse.ArgumentParser(
@@ -648,16 +657,7 @@ def _gateway_main(argv: List[str]) -> int:
         help="per-line read timeout on shard result streams; exceeding "
              "it requeues the shard's remaining points (default 600)",
     )
-    parser.add_argument(
-        "--log-json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write one JSON line per served request to PATH "
-             "(default stderr)",
-    )
-    parser.add_argument(
-        "--prom-port", type=int, default=None, metavar="N",
-        help="serve Prometheus text-format metrics on this port "
-             "(GET /metrics; 0 picks a free port)",
-    )
+    _add_daemon_obs_args(parser)
     args = parser.parse_args(argv)
 
     try:
@@ -674,18 +674,9 @@ def _gateway_main(argv: List[str]) -> int:
         health_interval_s=args.health_interval,
         ping_timeout_s=args.ping_timeout,
         shard_read_timeout_s=args.shard_read_timeout,
-        request_log=_open_request_log(args.log_json),
-        prom_port=args.prom_port,
+        **_daemon_obs_kwargs(args),
     )
-    try:
-        asyncio.run(gateway.run(announce=print))
-    except KeyboardInterrupt:
-        print("repro gateway interrupted; shutting down", file=sys.stderr)
-    except OSError as exc:
-        print(f"cannot serve on {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _run_daemon(gateway, args)
 
 
 def _submit_main(argv: List[str]) -> int:

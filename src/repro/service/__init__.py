@@ -13,6 +13,8 @@ a long-lived server instead:
   gateway (``repro gateway``): consistent-hash routing of sweep points
   across N daemons, merged byte-identical result streams, shard health
   checks with requeue-on-death;
+* :mod:`~repro.service.endpoint` — the endpoint core both roles share:
+  listener lifecycle, connection loop, op table, logging and framing;
 * :mod:`~repro.service.hashing` — the consistent-hash ring the gateway
   routes on;
 * :mod:`~repro.service.protocol` — the JSON-lines wire protocol;

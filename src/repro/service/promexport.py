@@ -7,8 +7,8 @@ same rendering once over the wire protocol, for scrape-less use (piping
 into ``promtool check metrics``, ad-hoc diffing, airgapped boxes).
 
 :func:`render_prometheus` maps the ``metrics`` op response of either
-role (shard or gateway, see :meth:`SimulationService._metrics_msg` /
-:meth:`GatewayService._metrics_msg`) to the text format version 0.0.4:
+role (shard or gateway, built by
+:meth:`~repro.service.endpoint.Endpoint._metrics_msg`) to text format 0.0.4:
 every sample preceded by ``# HELP``/``# TYPE``, counters suffixed
 ``_total``, histograms emitted as cumulative ``_bucket{le=...}`` series
 plus ``_sum``/``_count``, per-shard health as labelled gauges.  The

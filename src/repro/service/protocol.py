@@ -74,12 +74,12 @@ from ..orchestrator.spec import SweepPoint, SweepSpec
 #: (v2 daemons silently ignore unknown fields, so clients must check the
 #: ping version before relying on it); v4 the ``points`` and
 #: ``topology`` ops plus the ``requeued`` field on sweep ``done``
-#: messages — the sharded-fabric surface (a gateway requires protocol
-#: >= 4 of its shards); v5 the ``metrics`` op, optional
+#: messages — the sharded-fabric surface (a gateway requires shards of
+#: its own protocol version); v5 the ``metrics`` op, optional
 #: ``client``/``priority`` submission fields, and typed ``overloaded``
 #: errors (``code`` + ``retry_after_s`` on ``error`` responses); v6
 #: optional ``trace_id``/``span_id`` submission fields (distributed
-#: tracing — a gateway only forwards them to shards that ping >= 6),
+#: tracing, forwarded by a gateway on every hop),
 #: the ``latency`` histogram block on ``metrics`` responses, and
 #: ``trace_id`` echoed on traced ``accepted``/``done`` messages.
 PROTOCOL_VERSION = 6

@@ -36,8 +36,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import os
-import threading
-import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..baselines import runner
@@ -47,38 +45,28 @@ from ..orchestrator.parallel import (PHASE_PROFILE_ENV, OrchestratorPool,
 from ..orchestrator.spec import SweepPoint
 from ..orchestrator.store import ResultStore
 from ..sim import engine as sim_engine
-from ..workloads.registry import all_workloads, is_resolvable, resolve_workload
-from .jobs import Job, JobRegistry, JobState, workload_family
+from ..workloads.registry import is_resolvable, resolve_workload
+from .endpoint import Endpoint, Handler, JobCancelled
+from .jobs import Job, JobState
 from .metrics import DEFAULT_WINDOW_S, HistogramFamily, RateMeter
 from .protocol import (
     DEFAULT_HOST,
     ERROR_OVERLOADED,
-    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
-    SUBMIT_OPS,
     ProtocolError,
     default_port,
-    encode_message,
     parse_predict_fields,
-    parse_request,
     parse_submit_fields,
     parse_tune_fields,
-    request_to_points,
-    request_to_spec,
 )
-from .promexport import PromExporter
 from .reqlog import RequestLog
-from .tracing import parse_trace_fields
 from .scheduling import (
     DEFAULT_BULK_THRESHOLD,
     TUNE_SHED_FRACTION,
     FairQueue,
     classify_priority,
 )
-
-
-class _JobCancelled(Exception):
-    """Internal control flow: a job observed its cancel event."""
+from .tracing import SpanContext, parse_trace_fields
 
 
 def _consume_exception(fut: "asyncio.Future[None]") -> None:
@@ -88,13 +76,16 @@ def _consume_exception(fut: "asyncio.Future[None]") -> None:
         fut.exception()
 
 
-class SimulationService:
+class SimulationService(Endpoint):
     """The daemon behind ``repro serve``.
 
     Run it on the current event loop with :meth:`run`, or from a plain
     thread via ``asyncio.run(service.run())`` + :meth:`wait_started` /
     :meth:`request_stop` (how the loopback tests drive it).
     """
+
+    NAME = "service"
+    ROLE = "shard"
 
     def __init__(self,
                  host: str = DEFAULT_HOST,
@@ -114,8 +105,9 @@ class SimulationService:
                  metrics_window_s: float = DEFAULT_WINDOW_S,
                  prom_port: Optional[int] = None,
                  phase_profile: bool = False) -> None:
-        self.host = host
-        self.port = default_port() if port is None else port
+        super().__init__(host, default_port() if port is None else port,
+                         keep_jobs, request_log, metrics_window_s,
+                         prom_port)
         self.cache_dir = cache_dir
         self.use_store = use_store
         self.max_pending = max(1, max_pending)
@@ -125,49 +117,36 @@ class SimulationService:
         self.quota = quota
         self.weights = dict(weights or {})
         self.bulk_threshold = max(0, bulk_threshold)
-        self.request_log = request_log
         self.pool = OrchestratorPool(jobs)
-        self.registry = JobRegistry(keep=keep_jobs)
         self.store: Optional[ResultStore] = None
-        self.startup_error: Optional[BaseException] = None
-        self.points_streamed = 0
         self.hits_total = 0
         self.coalesced_total = 0
         self.shed_total = 0
-        self.prom_port = prom_port
         self.phase_profile = phase_profile
         self._sims_meter = RateMeter(metrics_window_s)
-        self._points_meter = RateMeter(metrics_window_s)
         self._analytic_meter = RateMeter(metrics_window_s)
-        self._latency = HistogramFamily(("op", "family", "priority"))
         self._phases = HistogramFamily(("phase",))
-        self._prom: Optional[PromExporter] = None
-        self._started = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._queue: Optional[FairQueue] = None
+        self._queue = FairQueue(self.max_pending, quota=quota,
+                                weights=self.weights)
         #: Traffic keys with a simulation dispatched or queued, mapped to
         #: the future every interested job awaits (single-flight table).
         self._in_flight: Dict[str, "asyncio.Future[None]"] = {}
-        self._t0 = 0.0
+
+    def _routes(self) -> Dict[str, Handler]:
+        return {
+            **super()._routes(),
+            "stats": self._handle_stats,
+            "predict": self._handle_predict,
+            "tune": self._tune_job,
+            "simulate": self._sweep_job,
+            "sweep": self._sweep_job,
+            "points": self._sweep_job,
+        }
 
     # -- lifecycle -------------------------------------------------------------
 
-    async def run(self, announce=None) -> None:
-        """Serve until a ``shutdown`` op or :meth:`request_stop`."""
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        self._queue = FairQueue(self.max_pending, quota=self.quota,
-                                weights=self.weights)
-        try:
-            server = await asyncio.start_server(
-                self._handle_conn, self.host, self.port or 0,
-                limit=MAX_LINE_BYTES)
-        except OSError as exc:
-            self.startup_error = exc
-            self._started.set()
-            raise
-        self.port = server.sockets[0].getsockname()[1]
+    async def _start_role(self) -> List["asyncio.Task[None]"]:
+        assert self._loop is not None
         self.store = ResultStore(self.cache_dir) if self.use_store else None
         runner.set_store(self.store)
         set_shared_pool(self.pool)
@@ -181,77 +160,24 @@ class SimulationService:
             # Fork the workers before accepting work; a sandbox without
             # pool support degrades here, once, to all-serial batches.
             await self._loop.run_in_executor(None, self.pool.warm)
-        dispatcher = asyncio.create_task(self._dispatch_loop())
-        self._t0 = time.monotonic()
-        if self.prom_port is not None:
-            try:
-                self._prom = PromExporter(self.metrics_snapshot,
-                                          host=self.host,
-                                          port=self.prom_port)
-                self.prom_port = self._prom.start()
-            except OSError as exc:
-                self.startup_error = exc
-                self._started.set()
-                server.close()
-                dispatcher.cancel()
-                await asyncio.gather(dispatcher, return_exceptions=True)
-                raise
-        self._started.set()
-        if announce is not None:
-            width = self.pool.jobs if not self.pool.broken else 1
-            store_desc = (str(self.store.directory) if self.store is not None
-                          else "disabled")
-            prom_desc = (f", prometheus: :{self.prom_port}/metrics"
-                         if self._prom is not None else "")
-            announce(f"repro service listening on {self.host}:{self.port} "
-                     f"(pool: {width} worker(s), store: {store_desc}"
-                     f"{prom_desc})")
-        try:
-            await self._stop.wait()
-        finally:
-            # Close the listener without awaiting wait_closed(): since
-            # Python 3.12.1 that would block on every connection handler,
-            # and one idle client sitting in readline() would hang
-            # shutdown forever.  Lingering handler tasks are cancelled by
-            # asyncio.run()'s teardown instead.
-            server.close()
-            dispatcher.cancel()
-            await asyncio.gather(dispatcher, return_exceptions=True)
-            self._fail_pending("service shut down")
-            if self._prom is not None:
-                await self._loop.run_in_executor(None, self._prom.stop)
-                self._prom = None
-            if self.phase_profile:
-                sim_engine.set_phase_hook(None)
-                os.environ.pop(PHASE_PROFILE_ENV, None)
-            if self.store is not None:
-                self.store.save_stats()
-            runner.set_store(None)
-            set_shared_pool(None)
-            self.pool.close()
+        return [asyncio.create_task(self._dispatch_loop())]
 
-    def wait_started(self, timeout: Optional[float] = None) -> bool:
-        """Block (from another thread) until the server accepts
-        connections; check :attr:`startup_error` on ``True``."""
-        return self._started.wait(timeout)
+    def _close_role(self) -> None:
+        self._fail_pending("service shut down")
+        if self.phase_profile:
+            sim_engine.set_phase_hook(None)
+            os.environ.pop(PHASE_PROFILE_ENV, None)
+        if self.store is not None:
+            self.store.save_stats()
+        runner.set_store(None)
+        set_shared_pool(None)
+        self.pool.close()
 
-    def request_stop(self) -> None:
-        """Thread-safe shutdown trigger (SIGINT handler, test teardown)."""
-        loop, stop = self._loop, self._stop
-        if loop is None or stop is None:
-            return
-        try:
-            loop.call_soon_threadsafe(stop.set)
-        except RuntimeError:
-            pass  # loop already closed — the server has stopped on its own
-
-    @staticmethod
-    def _abandon(futures: Dict[str, "asyncio.Future[None]"]) -> None:
-        """A job stopped awaiting these futures (cancel / failure /
-        disconnect); make sure any late exceptions still get retrieved so
-        the event loop does not log 'exception was never retrieved'."""
-        for fut in futures.values():
-            fut.add_done_callback(_consume_exception)
+    def _announce_details(self) -> str:
+        width = self.pool.jobs if not self.pool.broken else 1
+        store_desc = (str(self.store.directory) if self.store is not None
+                      else "disabled")
+        return f"pool: {width} worker(s), store: {store_desc}"
 
     def _fail_pending(self, reason: str) -> None:
         for fut in self._in_flight.values():
@@ -260,125 +186,40 @@ class SimulationService:
                 fut.set_exception(RuntimeError(reason))
         self._in_flight.clear()
 
-    # -- connection handling ---------------------------------------------------
+    # -- query ops -------------------------------------------------------------
 
-    async def _send(self, writer: asyncio.StreamWriter,
-                    msg: Dict[str, object]) -> None:
-        writer.write(encode_message(msg))
-        await writer.drain()
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Line exceeded MAX_LINE_BYTES: protocol violation —
-                    # report and drop the connection (resync is hopeless).
-                    await self._send(writer, {
-                        "type": "error", "job": None,
-                        "error": f"request line exceeds {MAX_LINE_BYTES} "
-                                 "bytes"})
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    req = parse_request(line)
-                except ProtocolError as exc:
-                    await self._send(writer, {"type": "error", "job": None,
-                                              "error": str(exc)})
-                    continue
-                if await self._handle_request(req, writer):
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away; any job it owned keeps warming the store
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _handle_request(self, req: Dict[str, object],
-                              writer: asyncio.StreamWriter) -> bool:
-        """Serve one request; ``True`` closes the connection."""
-        op = req["op"]
-        t_start = time.monotonic()
-        if op == "ping":
-            await self._send(writer, {"type": "pong",
-                                      "server": "repro-service",
-                                      "protocol": PROTOCOL_VERSION})
-        elif op == "jobs":
-            await self._send(writer, {"type": "jobs",
-                                      "jobs": self.registry.snapshots()})
-        elif op == "stats":
-            store_stats: Optional[Dict[str, object]] = None
-            if self.store is not None:
-                # Merge records other processes appended to the shared
-                # cache directory since we last looked — a one-shot
-                # `repro sweep` racing the daemon warms us too.  Both the
-                # O(file) rescan and the O(entries) per-workload counting
-                # run off the event loop.
-                assert self._loop is not None
-                store_stats = await self._loop.run_in_executor(
-                    None, self._store_stats)
-            await self._send(writer, self._stats_msg(store_stats))
-        elif op == "predict":
-            await self._handle_predict(req, writer)
-        elif op == "topology":
-            await self._send(writer, self._topology_msg())
-        elif op == "cancel":
-            await self._handle_cancel(req, writer)
-        elif op == "shutdown":
-            await self._send(writer, {"type": "ok", "stopping": True})
-            assert self._stop is not None
-            self._stop.set()
-            return True
-        elif op == "metrics":
-            await self._send(writer, self._metrics_msg())
-        elif op == "tune":
-            await self._tune_job(req, writer)
-        else:  # "simulate" / "sweep" / "points"
-            await self._sweep_job(req, writer)
-        if op not in SUBMIT_OPS:
-            # Submissions log themselves with job context at finish.
-            elapsed = time.monotonic() - t_start
-            self._latency.observe((str(op), "-", "-"), elapsed)
-            if self.request_log is not None:
-                client = req.get("client")
-                self.request_log.log(
-                    str(op),
-                    client=client if isinstance(client, str) else None,
-                    trace=self._query_trace(req),
-                    duration_s=elapsed)
-        return False
-
-    def _query_trace(self, req: Mapping[str, object]
-                     ) -> Optional[Dict[str, str]]:
-        """Span fields for a query op's log record: queries are leaf
-        hops, so the node span is minted here and never forwarded.
-        Malformed trace fields on a query never fail the (already
-        answered) request — they just go unlogged."""
-        try:
-            caller = parse_trace_fields(req)
-        except ProtocolError:
-            return None
-        return caller.child().log_fields() if caller is not None else None
-
-    def _topology_msg(self) -> Dict[str, object]:
-        """This node's view of itself for the ``topology`` op: a plain
-        daemon is one shard.  Gateways answer the same op with their
-        shard table (see :mod:`repro.service.gateway`)."""
-        assert self._queue is not None
-        return {
-            "type": "topology",
-            "role": "shard",
+    async def _handle_stats(self, req: Dict[str, object],
+                            writer: asyncio.StreamWriter,
+                            span: Optional[SpanContext]) -> None:
+        store_stats: Optional[Dict[str, object]] = None
+        if self.store is not None:
+            # Merge records other processes appended to the shared cache
+            # directory since we last looked — a one-shot `repro sweep`
+            # racing the daemon warms us too.  Both the O(file) rescan
+            # and the O(entries) per-workload counting run off the event
+            # loop.
+            assert self._loop is not None
+            store_stats = await self._loop.run_in_executor(
+                None, self._store_stats)
+        await self._send(writer, {
+            "type": "stats",
             "protocol": PROTOCOL_VERSION,
-            "host": self.host,
-            "port": self.port,
+            "uptime_s": self._uptime_s(),
+            "jobs": self.registry.counts_by_state(),
+            "points_streamed": self.points_streamed,
+            "simulations": runner.simulation_count(),
+            "hits_total": self.hits_total,
+            "coalesced_total": self.coalesced_total,
+            "shed_total": self.shed_total,
+            "queue_depth": self._queue.qsize(),
+            "in_flight": len(self._in_flight),
+            "pool": self.pool.snapshot(),
+            "store": store_stats,
+        })
+
+    def _topology_fields(self) -> Dict[str, object]:
+        """A plain daemon describes itself as one shard."""
+        return {
             "workers": self.pool.jobs if not self.pool.broken else 1,
             "in_flight": len(self._in_flight),
             "queue_depth": self._queue.qsize(),
@@ -386,27 +227,9 @@ class SimulationService:
                       if self.store is not None else None),
         }
 
-    async def _handle_cancel(self, req: Dict[str, object],
-                             writer: asyncio.StreamWriter) -> None:
-        job = self.registry.get(req.get("job"))
-        if job is None:
-            await self._send(writer, {
-                "type": "error", "job": None,
-                "error": f"unknown job {req.get('job')!r}"})
-        elif job.kind == "tune":
-            await self._send(writer, {
-                "type": "error", "job": job.id,
-                "error": "tune jobs cannot be cancelled"})
-        elif job.finished_state:
-            await self._send(writer, {
-                "type": "error", "job": job.id,
-                "error": f"job {job.id} already {job.state.value}"})
-        else:
-            job.cancel_event.set()
-            await self._send(writer, {"type": "ok", "job": job.id})
-
     async def _handle_predict(self, req: Dict[str, object],
-                              writer: asyncio.StreamWriter) -> None:
+                              writer: asyncio.StreamWriter,
+                              span: Optional[SpanContext]) -> None:
         """Analytic prediction: single response, never enters the queue
         or the pool — the whole point of the op is to skip them."""
         assert self._loop is not None
@@ -418,8 +241,7 @@ class SimulationService:
                     f"unknown workload {workload!r}; see 'repro "
                     "list-workloads'")
         except ProtocolError as exc:
-            await self._send(writer, {"type": "error", "job": None,
-                                      "error": str(exc)})
+            await self._send_error(writer, exc)
             return
         try:
             # Model compilation can take a few milliseconds the first
@@ -427,8 +249,7 @@ class SimulationService:
             evaluation = await self._loop.run_in_executor(
                 None, functools.partial(self._predict, fields))
         except Exception as exc:
-            await self._send(writer, {"type": "error", "job": None,
-                                      "error": str(exc)})
+            await self._send_error(writer, exc)
             return
         self._analytic_meter.record(1)
         await self._send(writer, {
@@ -477,30 +298,7 @@ class SimulationService:
             "workloads": self.store.workload_counts(),
         }
 
-    def _stats_msg(self, store_stats: Optional[Dict[str, object]]
-                   ) -> Dict[str, object]:
-        assert self._queue is not None
-        return {
-            "type": "stats",
-            "protocol": PROTOCOL_VERSION,
-            "uptime_s": round(time.monotonic() - self._t0, 3),
-            "jobs": self.registry.counts_by_state(),
-            "points_streamed": self.points_streamed,
-            "simulations": runner.simulation_count(),
-            "hits_total": self.hits_total,
-            "coalesced_total": self.coalesced_total,
-            "shed_total": self.shed_total,
-            "queue_depth": self._queue.qsize(),
-            "in_flight": len(self._in_flight),
-            "pool": self.pool.snapshot(),
-            "store": store_stats,
-        }
-
-    def _metrics_msg(self) -> Dict[str, object]:
-        """Cheap operational counters: everything here is in-memory —
-        no store rescan, no executor hop — so ``--watch`` polling does
-        not perturb the daemon it is observing."""
-        assert self._queue is not None
+    def _metrics_fields(self) -> Dict[str, object]:
         store: Optional[Dict[str, object]] = None
         if self.store is not None:
             lookups = self.store.hits + self.store.misses
@@ -515,11 +313,6 @@ class SimulationService:
                 "duplicates": self.store.duplicates,
             }
         return {
-            "type": "metrics",
-            "role": "shard",
-            "protocol": PROTOCOL_VERSION,
-            "server": "repro-service",
-            "uptime_s": round(time.monotonic() - self._t0, 3),
             "queue_depth": self._queue.qsize(),
             "max_pending": self.max_pending,
             "queue_clients": self._queue.client_depths(),
@@ -542,20 +335,6 @@ class SimulationService:
             "store": store,
         }
 
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """Thread-safe :meth:`_metrics_msg` for the Prometheus exporter:
-        hops onto the event loop so scrape threads never read loop-owned
-        state (queue, registry) mid-mutation."""
-        loop = self._loop
-        if loop is None:
-            raise RuntimeError("service not running")
-
-        async def _snap() -> Dict[str, object]:
-            return self._metrics_msg()
-
-        return asyncio.run_coroutine_threadsafe(_snap(), loop).result(
-            timeout=10)
-
     def _observe_phase(self, phase: str, seconds: float) -> None:
         """Engine phase hook (``--phase-profile``): called in-process by
         the engines and replayed from pool-worker payloads."""
@@ -564,89 +343,41 @@ class SimulationService:
     # -- sweep jobs ------------------------------------------------------------
 
     async def _sweep_job(self, req: Dict[str, object],
-                         writer: asyncio.StreamWriter) -> None:
-        try:
-            client, explicit_priority = parse_submit_fields(req)
-            caller_span = parse_trace_fields(req)
-            if req["op"] == "points":
-                points: Sequence[SweepPoint] = request_to_points(req)
-                summary = ", ".join(sorted({p.workload for p in points}))
-            else:
-                spec = request_to_spec(req)
-                points = spec.points()
-                summary = ", ".join(spec.workloads)
-            if not points:
-                raise ProtocolError(
-                    "sweep matched no (workload, config) points")
-            bad = sorted({p.workload for p in points
-                          if not is_resolvable(p.workload)})
-            if bad:
-                raise ProtocolError(
-                    f"unknown workload(s): {', '.join(bad)}; known: "
-                    f"{', '.join(sorted(all_workloads()))}")
-        except (ProtocolError, ValueError) as exc:
-            await self._send(writer, {"type": "error", "job": None,
-                                      "error": str(exc)})
+                         writer: asyncio.StreamWriter,
+                         span: Optional[SpanContext]) -> None:
+        sweep = await self._parse_sweep(req, writer)
+        if sweep is None:
             return
-
-        client = client or "anon"
-        priority = classify_priority(explicit_priority, len(points),
+        points = sweep.points
+        priority = classify_priority(sweep.priority, len(points),
                                      self.bulk_threshold)
         await self._sync_store(points)
-        job = self.registry.create(str(req["op"]), summary=summary,
-                                   client=client, priority=priority)
-        job.total = len(points)
-        job.family = workload_family(p.workload for p in points)
-        if caller_span is not None:
-            job.span = caller_span.child()
-        assert self._queue is not None
-        if priority == "bulk" and self._queue.free_slots(client) <= 0:
+        job = self._open_job(str(req["op"]), sweep.summary, sweep.client,
+                             priority, sweep.caller,
+                             (p.workload for p in points), total=len(points))
+        if priority == "bulk" and self._queue.free_slots(job.client) <= 0:
             # Tiered shedding: bulk work is refused while the client has
             # no free capacity at admission.  Interactive submissions are
             # never shed — they block on the bounded queue like before.
             await self._shed(job, writer,
-                             self._queue.overload_reason(client),
+                             self._queue.overload_reason(job.client),
                              self._queue.retry_after_s())
             return
-        accepted: Dict[str, object] = {"type": "accepted", "job": job.id,
-                                       "kind": job.kind,
-                                       "points": job.total}
-        if job.span is not None:
-            accepted["trace_id"] = job.span.trace_id
-        await self._send(writer, accepted)
-        job.state = JobState.RUNNING
-        waiter = asyncio.ensure_future(job.cancel_event.wait())
         futures: Dict[str, asyncio.Future] = {}
-        try:
-            await self._claim_points(job, points, futures)
-            await self._stream_results(job, points, futures, waiter, writer)
-        except _JobCancelled:
-            self._abandon(futures)
-            job.finish(JobState.CANCELLED)
-            await self._send(writer, {"type": "cancelled", "job": job.id,
-                                      "done": job.done, "total": job.total})
-        except (ConnectionError, asyncio.CancelledError):
-            self._abandon(futures)
-            job.finish(JobState.FAILED, "client disconnected")
-            raise
-        except Exception as exc:  # simulation failure
-            self._abandon(futures)
-            job.finish(JobState.FAILED, str(exc))
-            await self._send(writer, {"type": "error", "job": job.id,
-                                      "error": str(exc)})
-        else:
-            job.finish(JobState.DONE)
-            done_msg: Dict[str, object] = {
-                "type": "done", "job": job.id, "points": job.total,
-                "simulations": job.simulations, "hits": job.hits,
-                "coalesced": job.coalesced,
-                "elapsed_s": round(job.elapsed_s(), 3)}
-            if job.span is not None:
-                done_msg["trace_id"] = job.span.trace_id
-            await self._send(writer, done_msg)
-        finally:
-            waiter.cancel()
-            self._log_job(job)
+
+        async def body(waiter: "asyncio.Future[object]") -> None:
+            try:
+                await self._claim_points(job, points, futures)
+                await self._stream_results(job, points, futures, waiter,
+                                           writer)
+            except BaseException:
+                # The job stops awaiting these futures (cancel, failure,
+                # disconnect); late exceptions must still be retrieved.
+                for fut in futures.values():
+                    fut.add_done_callback(_consume_exception)
+                raise
+
+        await self._run_job(job, writer, body)
 
     async def _shed(self, job: Job, writer: asyncio.StreamWriter,
                     reason: str, retry_after_s: float) -> None:
@@ -658,23 +389,6 @@ class SimulationService:
         await self._send(writer, {
             "type": "error", "job": job.id, "code": ERROR_OVERLOADED,
             "error": error, "retry_after_s": retry_after_s})
-
-    def _log_job(self, job: Job, outcome: Optional[str] = None) -> None:
-        final = outcome or job.state.value
-        if final != "shed":
-            # Shed jobs are refused at admission in microseconds; folding
-            # them into the serve histogram would drag p50 down during
-            # exactly the overload storms the histogram should expose.
-            self._latency.observe((job.kind, job.family, job.priority),
-                                  job.elapsed_s())
-        if self.request_log is None:
-            return
-        self.request_log.log(
-            job.kind, client=job.client, job=job.id,
-            trace=job.span.log_fields() if job.span is not None else None,
-            points=job.total, sims=job.simulations, hits=job.hits,
-            coalesced=job.coalesced, duration_s=job.elapsed_s(),
-            outcome=final, error=job.error)
 
     async def _sync_store(self, points: Sequence[SweepPoint]) -> None:
         """Store-shard sync: merge records other writers appended before
@@ -705,7 +419,7 @@ class SimulationService:
         Fills the caller's ``futures`` dict in place so that keys claimed
         before a mid-claim cancellation still reach ``_abandon``.
         """
-        assert self._loop is not None and self._queue is not None
+        assert self._loop is not None
         for p in points:
             ks = ResultStore.key_str(p.key())
             if ks in futures:
@@ -724,7 +438,7 @@ class SimulationService:
                 self.coalesced_total += 1
                 continue
             if job.cancelled:
-                raise _JobCancelled
+                raise JobCancelled
             fut: asyncio.Future = self._loop.create_future()
             self._in_flight[ks] = fut
             futures[ks] = fut
@@ -748,7 +462,7 @@ class SimulationService:
                 # The cancel waiter fired first: abandon the remaining
                 # stream.  In-flight keys still resolve and warm the
                 # store for everyone else.
-                raise _JobCancelled
+                raise JobCancelled
             fut.result()  # re-raises this key's simulation error, if any
             # Assemble through the standard serial path: the base result
             # is warm, so this only re-times for this point's bandwidth —
@@ -773,13 +487,13 @@ class SimulationService:
                 "result": result.to_dict(),
             })
             if job.cancelled:
-                raise _JobCancelled
+                raise JobCancelled
 
     # -- the batch dispatcher --------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
         """Drain queued points into shared orchestrator batches, forever."""
-        assert self._loop is not None and self._queue is not None
+        assert self._loop is not None
         while True:
             batch: List[Tuple[str, SweepPoint]] = [await self._queue.get()]
             if self.batch_window_s > 0:
@@ -851,7 +565,8 @@ class SimulationService:
     # -- tune jobs -------------------------------------------------------------
 
     async def _tune_job(self, req: Dict[str, object],
-                        writer: asyncio.StreamWriter) -> None:
+                        writer: asyncio.StreamWriter,
+                        span: Optional[SpanContext]) -> None:
         assert self._loop is not None
         from ..tuner import TuneSpace, make_strategy, tune
         from ..tuner.pareto import DEFAULT_OBJECTIVES
@@ -879,17 +594,11 @@ class SimulationService:
                 if fields["include_baselines"] else (),
             )
         except (ProtocolError, KeyError, ValueError, TypeError) as exc:
-            await self._send(writer, {"type": "error", "job": None,
-                                      "error": str(exc)})
+            await self._send_error(writer, exc)
             return
 
-        client = client or "anon"
-        job = self.registry.create("tune", summary=workload,
-                                   client=client, priority="bulk")
-        job.family = workload_family([workload])
-        if caller_span is not None:
-            job.span = caller_span.child()
-        assert self._queue is not None
+        job = self._open_job("tune", workload, client or "anon", "bulk",
+                             caller_span, [workload])
         shed_at = max(1, int(self.max_pending * TUNE_SHED_FRACTION))
         if self._queue.qsize() >= shed_at:
             # Lowest shedding tier: a tune search occupies a worker
@@ -901,12 +610,7 @@ class SimulationService:
                              "shed first under load",
                              self._queue.retry_after_s())
             return
-        tune_accepted: Dict[str, object] = {"type": "accepted",
-                                            "job": job.id,
-                                            "kind": "tune", "points": 0}
-        if job.span is not None:
-            tune_accepted["trace_id"] = job.span.trace_id
-        await self._send(writer, tune_accepted)
+        await self._send_accepted(writer, job)
         job.state = JobState.RUNNING
         # The search runs on a worker thread; prewarm() inside the tuner
         # picks up the resident pool via the shared-pool hook.  While it
@@ -936,8 +640,7 @@ class SimulationService:
         except Exception as exc:  # search or simulation failure
             job.finish(JobState.FAILED, str(exc))
             self._log_job(job)
-            await self._send(writer, {"type": "error", "job": job.id,
-                                      "error": str(exc)})
+            await self._send_error(writer, exc, job.id)
             return
         job.total = job.done = len(tune_result.evaluations)
         # The tuner derives n_simulations from the process-global counter;
@@ -964,18 +667,11 @@ class SimulationService:
                          f"{exc}")
                 job.finish(JobState.FAILED, error)
                 self._log_job(job)
-                await self._send(writer, {"type": "error", "job": job.id,
-                                          "error": error})
+                await self._send_error(writer, error, job.id)
                 return
             job.finish(JobState.DONE)
             self._log_job(job)
-            tune_done: Dict[str, object] = {
-                "type": "done", "job": job.id, "points": job.total,
-                "simulations": job.simulations, "hits": job.hits,
-                "coalesced": 0, "elapsed_s": round(job.elapsed_s(), 3)}
-            if job.span is not None:
-                tune_done["trace_id"] = job.span.trace_id
-            await self._send(writer, tune_done)
+            await self._send(writer, self._done_msg(job))
         except (ConnectionError, asyncio.CancelledError):
             # Disconnect during delivery: never leave the job RUNNING.
             if not job.finished_state:

@@ -15,8 +15,8 @@ Both fields are optional on the wire and *omitted when unset*: an
 untagged submission stays byte-identical to what a protocol-v5 client
 sends, the same compatibility discipline ``client``/``priority`` (v5)
 and ``fidelity`` (v3) follow.  Servers ignore unknown fields, so traced
-requests degrade gracefully against old daemons; a gateway only
-forwards trace fields to shards that ping protocol >= 6.
+requests degrade gracefully against old daemons.  A gateway admits
+only shards of its own protocol version, so it always forwards them.
 """
 
 from __future__ import annotations

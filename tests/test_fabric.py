@@ -263,6 +263,107 @@ class TestGatewayFabric:
         assert pong["shards_healthy"] == 3
 
 
+    @pytest.mark.parametrize("role", ["serve", "gateway"])
+    @pytest.mark.parametrize("kind, refusal", [
+        ("sweep", "already done"),
+        ("tune", "tune jobs cannot be cancelled"),
+    ])
+    def test_cancel_refusals_on_both_roles(self, fabric3, role, kind,
+                                           refusal):
+        """Both roles answer ``cancel`` through one shared handler: a
+        finished sweep is ``already done`` and a tune job can never be
+        cancelled."""
+        from repro.service import ServiceClient
+
+        port = (fabric3.gateway.port if role == "gateway"
+                else fabric3.shards[0].port)
+        with ServiceClient(port=port, timeout=120.0) as client:
+            if kind == "sweep":
+                client.submit_sweep([WORKLOAD], configs=["CELLO"],
+                                    bandwidth_gb=[1000.0])
+            else:
+                client.submit_tune(WORKLOAD, strategy="grid",
+                                   sram_mb=(4.0,), entries=(64,))
+            job_id = [j["id"] for j in client.jobs()
+                      if j["kind"] == kind][-1]
+            with pytest.raises(ServiceError, match=refusal):
+                client.cancel(job_id)
+
+
+def test_both_roles_route_every_protocol_op():
+    """Each role's op table covers exactly the protocol's ops, so no
+    request the parser accepts can miss a handler."""
+    from repro.service import GatewayService, SimulationService
+    from repro.service.protocol import KNOWN_OPS
+
+    gateway = GatewayService([("127.0.0.1", 1)])
+    service = SimulationService(jobs=1)
+    assert set(gateway._handlers) == set(KNOWN_OPS)
+    assert set(service._handlers) == set(KNOWN_OPS)
+
+
+def test_traced_predict_nests_client_gateway_shard(tmp_path):
+    """A forwarded ``predict`` is reparented: the shard's span hangs off
+    the gateway's span, which hangs off the client's root span."""
+    shard_log = tmp_path / "shard_logs.jsonl"
+    gw_stream = io.StringIO()
+    fab = Fabric(str(tmp_path / "cache"), n_shards=1,
+                 request_log=RequestLog(gw_stream),
+                 shard_args=["--log-json", str(shard_log)])
+    with fab:
+        with fab.client(trace=True) as client:
+            reply = client.predict(WORKLOAD, "CELLO")
+            trace_id = client.last_trace_id
+    # The gateway logs after replying: read only once the fabric stopped.
+    assert reply["type"] == "predict"
+    gateway = next(json.loads(line)
+                   for line in gw_stream.getvalue().splitlines()
+                   if json.loads(line)["op"] == "predict")
+    shard = next(json.loads(line)
+                 for line in shard_log.read_text().splitlines()
+                 if json.loads(line)["op"] == "predict")
+    assert gateway["trace_id"] == shard["trace_id"] == trace_id
+    assert shard["parent_span"] == gateway["span_id"]
+    assert gateway["parent_span"] != gateway["span_id"]
+
+
+def test_gateway_admits_only_shards_of_its_own_protocol(tmp_path):
+    """A shard pinging another protocol version stays out of the ring,
+    with the version mismatch as its topology error."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+    old = PROTOCOL_VERSION - 1
+
+    def answer_pings():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            with conn:
+                conn.recv(1024)
+                conn.sendall(json.dumps({
+                    "type": "pong", "server": "repro-service",
+                    "protocol": old}).encode() + b"\n")
+
+    threading.Thread(target=answer_pings, daemon=True).start()
+    try:
+        with GatewayThread([listener.getsockname()],
+                           health_interval_s=30.0) as gw:
+            with gw.client() as client:
+                topo = client.topology()
+                with pytest.raises(JobFailed, match="no healthy shards"):
+                    client.submit_sweep([WORKLOAD], configs=["CELLO"])
+    finally:
+        listener.close()
+    shard = topo["shards"][0]
+    assert shard["healthy"] is False
+    assert shard["protocol"] == old
+    assert shard["error"] == (f"speaks protocol v{old}, gateway needs "
+                              f"v{PROTOCOL_VERSION}")
+
+
 class TestChaos:
     """One fabric per test; each test breaks it a different way."""
 
@@ -358,6 +459,29 @@ class TestChaos:
         assert sweep["span_id"] in parents
         assert requeue["span_id"] in parents
         assert all(r["outcome"] == "done" for r in hops)
+        self._check_store_exactly_once(fab, points)
+
+    def test_untraced_requeue_is_logged(self, tmp_path):
+        """An untraced sweep's failover still leaves ``requeue`` records:
+        their points add up to ``done.requeued``, each names the victim,
+        and none carries trace fields."""
+        gw_stream = io.StringIO()
+        fab, victim, points = self._arm(tmp_path,
+                                        request_log=RequestLog(gw_stream))
+        fab.proxies[victim].plan.kill_after_results = 1
+        with fab:
+            with fab.client() as client:
+                out = submit_chaos(client)
+        assert out.trace_id is None
+        assert out.requeued >= 2
+        requeues = [r for r in map(json.loads,
+                                   gw_stream.getvalue().splitlines())
+                    if r["op"] == "requeue"]
+        assert requeues
+        assert sum(r["points"] for r in requeues) == out.requeued
+        assert all(f"shard {fab.proxies[victim].id}" in r["error"]
+                   for r in requeues)
+        assert all("trace_id" not in r for r in requeues)
         self._check_store_exactly_once(fab, points)
 
     def test_dropped_connection_requeues_and_shard_recovers(

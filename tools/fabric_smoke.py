@@ -11,12 +11,15 @@ right after its first streamed result.  The run must show:
 * a warm resubmit prints ``simulations re-run: 0`` (nothing the dead
   shard had already simulated was simulated again);
 * the shared result store holds exactly one record per distinct
-  traffic key.
+  traffic key;
+* the gateway's request log holds ``requeue`` records for the
+  (untraced) cold sweep whose points total its ``requeued`` count.
 
 The CI job greps the summary lines this script prints; any violated
 invariant also fails the process with exit code 1.
 """
 
+import io
 import json
 import sys
 import tempfile
@@ -39,6 +42,7 @@ from repro.analysis.service_report import (  # noqa: E402
 from repro.hw.config import GB  # noqa: E402
 from repro.orchestrator.spec import SweepSpec  # noqa: E402
 from repro.orchestrator.store import ResultStore  # noqa: E402
+from repro.service import RequestLog  # noqa: E402
 
 WORKLOADS = ("cg/fv1/N=1", "bicgstab/fv1/N=1", "gnn/cora", "mg/fv1/N=1")
 CONFIGS = ("Flexagon", "CELLO")
@@ -57,7 +61,8 @@ def main() -> int:
                        bandwidths=(BANDWIDTH_GB * GB,)).points()
     failures = []
     with tempfile.TemporaryDirectory(prefix="repro-fabric-smoke-") as cache:
-        fab = Fabric(cache, n_shards=3,
+        gateway_log = io.StringIO()
+        fab = Fabric(cache, n_shards=3, request_log=RequestLog(gateway_log),
                      ping_timeout_s=2.0, health_interval_s=0.5)
         victim = busiest_proxy(fab.proxies, points)
         fab.proxies[victim].plan.kill_after_results = 1
@@ -87,6 +92,14 @@ def main() -> int:
                             "simulation(s)")
         if fingerprint(warm) != fingerprint(cold):
             failures.append("warm resubmit diverged from the chaos run")
+        logged = sum(r["points"] for r in map(
+                         json.loads, gateway_log.getvalue().splitlines())
+                     if r["op"] == "requeue" and r["job"] == cold.job_id)
+        print(f"requeue records logged for the cold sweep: {logged} "
+              f"point(s)")
+        if logged != cold.requeued:
+            failures.append(f"gateway logged {logged} requeued point(s), "
+                            f"the cold sweep reported {cold.requeued}")
         dupes = duplicate_store_keys(fab.results_file())
         if dupes:
             failures.append(f"duplicate store records: {dupes}")

@@ -42,7 +42,6 @@ from .batch import (
     BatchUnsupported,
     batch_objective_arrays,
     evaluate_batch,
-    onchip_accesses_of,
     replay_chord_batch,
 )
 from .canonical import CanonicalProgram, TensorFacts, canonicalize, canonicalize_oracle
@@ -53,6 +52,7 @@ from .compiler import (
     STREAMING,
     AnalyticEvaluation,
     AnalyticModel,
+    onchip_accesses_of,
 )
 from .formulas import TensorFormula, Term, describe_formulas
 

@@ -14,7 +14,10 @@ batch moves through ufunc arithmetic:
   and RIFF victim selection is an argmin over pre-computed priority keys;
 * points the analytic model cannot price at all (cache-policy baselines)
   never enter: callers route them to the simulator, exactly as the
-  point-wise path does.
+  point-wise path does;
+* programs too deep for the packed priority keys
+  (:class:`BatchUnsupported`) replay their pressured rows through the
+  scalar recurrence instead — callers never see the limit.
 
 Every output is bit-identical to the corresponding point-wise
 ``model.evaluate(...)`` call — the property suite in
@@ -34,7 +37,14 @@ from ..hw.config import AcceleratorConfig
 from ..hw.sram_model import cache_cost, chord_cost
 from ..sim.energy import DRAM_PJ_PER_BYTE, onchip_energy_j
 from .canonical import EV_READ, EV_RETIRE, EV_WRITE
-from .compiler import CLOSED_FORM, RECURRENCE, STREAMING, AnalyticModel
+from .capacity import replay_chord
+from .compiler import (
+    CLOSED_FORM,
+    RECURRENCE,
+    STREAMING,
+    AnalyticModel,
+    onchip_accesses_of,
+)
 
 #: Integer regime codes (compact per-point tags; names match the
 #: compiler's string regimes one-to-one).
@@ -46,7 +56,8 @@ REGIME_NAMES: Tuple[str, str, str] = (STREAMING, CLOSED_FORM, RECURRENCE)
 
 class BatchUnsupported(Exception):
     """The program's event stream does not fit the packed priority-key
-    encoding (absurdly deep consumer lists); evaluate point-wise."""
+    encoding (absurdly deep consumer lists); :func:`evaluate_batch`
+    then replays the pressured rows point-wise."""
 
 
 def _as_bool(values: object, n: int) -> np.ndarray:
@@ -343,8 +354,9 @@ def evaluate_batch(model: AnalyticModel, knobs: BatchKnobs) -> BatchEvaluation:
     Bit-identical to calling ``model.evaluate`` per row: the streaming
     and closed-form regimes are broadcast sums, and only the rows whose
     working set overflows capacity (or the index table) pay the
-    vectorised recurrence.  Raises :class:`BatchUnsupported` for event
-    streams too deep for the packed priority keys (fall back point-wise).
+    vectorised recurrence.  Event streams too deep for the packed
+    priority keys (:class:`BatchUnsupported`) replay those rows through
+    the scalar :func:`~repro.analytic.capacity.replay_chord` instead.
     """
     n = len(knobs)
     program = model.program
@@ -376,11 +388,23 @@ def evaluate_batch(model: AnalyticModel, knobs: BatchKnobs) -> BatchEvaluation:
 
     pressured = np.flatnonzero(~fits)
     if pressured.size:
-        bp = batch_program_for(model)
         sub = knobs.take(pressured)
-        extra_r, extra_w = replay_chord_batch(
-            bp, sub.capacity_bytes, sub.chord_entries,
-            sub.use_riff, sub.explicit_retire)
+        try:
+            extra_r, extra_w = replay_chord_batch(
+                batch_program_for(model), sub.capacity_bytes,
+                sub.chord_entries, sub.use_riff, sub.explicit_retire)
+        except BatchUnsupported:
+            tallies = [replay_chord(
+                program.chord_events, model._totals, model._consumers,
+                model._is_output, int(capacity), int(entries),
+                bool(riff), bool(retire))
+                for capacity, entries, riff, retire in zip(
+                    sub.capacity_bytes, sub.chord_entries,
+                    sub.use_riff, sub.explicit_retire)]
+            extra_r = np.asarray([t.dram_read_bytes for t in tallies],
+                                 dtype=np.int64)
+            extra_w = np.asarray([t.dram_write_bytes for t in tallies],
+                                 dtype=np.int64)
         read[pressured] += extra_r
         write[pressured] += extra_w
     return BatchEvaluation(
@@ -388,20 +412,6 @@ def evaluate_batch(model: AnalyticModel, knobs: BatchKnobs) -> BatchEvaluation:
 
 
 # -- objective arrays -----------------------------------------------------------
-
-
-def onchip_accesses_of(model: AnalyticModel,
-                       cfg: AcceleratorConfig) -> Dict[str, int]:
-    """The on-chip access counts every evaluation of ``model`` carries
-    (identical dict, and dict order, to the point-wise path)."""
-    program = model.program
-    if program.kind == "oracle":
-        return {"buffet": program.operand_bytes // cfg.line_bytes}
-    return {
-        "chord": program.chord_access_bytes // cfg.line_bytes,
-        "rf": program.rf_bytes // cfg.line_bytes,
-        "pipeline": program.pipe_bytes // cfg.line_bytes,
-    }
 
 
 def batch_objective_arrays(

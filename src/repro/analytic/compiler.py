@@ -121,7 +121,6 @@ class AnalyticModel:
 
         if program.kind == "oracle":
             read, write = self._base_read, self._base_write
-            onchip = {"buffet": program.operand_bytes // cfg.line_bytes}
             regime = STREAMING
             tally: Optional[ChordTally] = None
         else:
@@ -148,11 +147,6 @@ class AnalyticModel:
                 read += tally.dram_read_bytes
                 write += tally.dram_write_bytes
                 regime = RECURRENCE
-            onchip = {
-                "chord": program.chord_access_bytes // cfg.line_bytes,
-                "rf": program.rf_bytes // cfg.line_bytes,
-                "pipeline": program.pipe_bytes // cfg.line_bytes,
-            }
 
         result = make_result(
             config=config_name,
@@ -161,7 +155,7 @@ class AnalyticModel:
             dram_read_bytes=read,
             dram_write_bytes=write,
             cfg=cfg,
-            onchip_accesses=onchip,
+            onchip_accesses=onchip_accesses_of(self, cfg),
         )
         per_tensor: Dict[str, Dict[str, int]] = {}
         chord_per: Dict[str, Dict[str, int]] = {}
@@ -223,3 +217,18 @@ class AnalyticModel:
             describe_formulas(self.program.formulas),
         ]
         return "\n".join(lines)
+
+
+def onchip_accesses_of(model: AnalyticModel,
+                       cfg: AcceleratorConfig) -> Dict[str, int]:
+    """The on-chip access counts every evaluation of ``model`` carries
+    (point-wise and batch alike): buffet lines for the oracle family,
+    CHORD / register-file / pipeline lines for SCORE schedules."""
+    program = model.program
+    if program.kind == "oracle":
+        return {"buffet": program.operand_bytes // cfg.line_bytes}
+    return {
+        "chord": program.chord_access_bytes // cfg.line_bytes,
+        "rf": program.rf_bytes // cfg.line_bytes,
+        "pipeline": program.pipe_bytes // cfg.line_bytes,
+    }

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,6 +139,26 @@ class ColumnarGrid:
     #: The (small) implicit-cache block, already materialised.
     cache_points: Tuple[TunePoint, ...]
 
+    @classmethod
+    def of(cls, points: Sequence[TunePoint]) -> "ColumnarGrid":
+        """An arbitrary batch of points as columns: CELLO points become
+        rows in the order given, cache-policy points go to
+        :attr:`cache_points`."""
+        cello = [p for p in points if p.is_cello]
+
+        def column(knob: str, dtype: type) -> np.ndarray:
+            return np.asarray([getattr(p, knob) for p in cello], dtype=dtype)
+
+        return cls(
+            use_riff=column("use_riff", bool),
+            explicit_retire=column("explicit_retire", bool),
+            charge_swizzle=column("charge_swizzle", bool),
+            chord_entries=column("chord_entries", np.int64),
+            sram_bytes=column("sram_bytes", np.int64),
+            line_bytes=column("line_bytes", np.int64),
+            cache_points=tuple(p for p in points if not p.is_cello),
+        )
+
     @property
     def n_cello(self) -> int:
         return int(self.use_riff.shape[0])
@@ -204,11 +224,12 @@ class TuneSpace:
                 raise ValueError(f"axis {axis!r} must list at least one value")
             if len(set(values)) != len(values):
                 raise ValueError(f"axis {axis!r} has duplicate values")
+            # TunePoint holds the per-value rules; every axis value
+            # must pass them, so no enumerated row is an invalid point.
+            for v in values:
+                TunePoint(**{axis: v})
         for p in self.cache_policies:
-            if p not in CACHE_POLICIES:
-                raise ValueError(
-                    f"unknown cache policy {p!r}; known: {sorted(CACHE_POLICIES)}"
-                )
+            TunePoint(cache_policy=p)
 
     # -- enumeration ---------------------------------------------------------
 

@@ -32,11 +32,14 @@ Three fidelities select how a batch is priced (``docs/analytic.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..baselines import runner
 from ..hw.config import AcceleratorConfig, default_config
 from ..orchestrator.spec import SweepPoint
+from ..sim.perf import make_result
 from ..sim.results import SimResult
 from ..workloads.registry import Workload, resolve_workload
 from .pareto import (
@@ -45,7 +48,7 @@ from .pareto import (
     objective_values,
     validate_objectives,
 )
-from .space import TunePoint, TuneSpace
+from .space import ColumnarGrid, TunePoint, TuneSpace
 from .strategies import RandomStrategy, SearchStrategy
 
 #: Schema tag for serialised tune results (independent of the result
@@ -207,104 +210,6 @@ class _BatchEvaluator:
         self.n_analytic = 0
         self.analytic_max_rel_error: Optional[float] = None
 
-    def _predict(self, p: TunePoint) -> Optional[TuneEval]:
-        """Analytic evaluation of one point, or None when unsupported."""
-        from ..analytic import AnalyticUnsupported, predict_workload_config
-
-        cfg = p.accel_cfg(self.base_cfg)
-        try:
-            evaluation = predict_workload_config(
-                self.workload, p.config_name(), cfg)
-        except AnalyticUnsupported:
-            return None
-        return TuneEval(
-            point=p,
-            config=p.config_name(),
-            objectives=objective_values(
-                self.objectives, evaluation.result, cfg, p),
-            result=evaluation.result,
-            fidelity="analytic",
-        )
-
-    def _batch_predict(
-        self, points: Sequence[TunePoint]
-    ) -> Dict[TunePoint, TuneEval]:
-        """Analytic evaluations for the CELLO points of ``points`` via the
-        columnar batch evaluator (:mod:`repro.analytic.batch`).
-
-        Points are grouped by (SRAM, line) so each group shares one
-        compiled model and one :func:`evaluate_batch` call; groups whose
-        event stream does not fit the packed batch encoding fall back to
-        per-point :meth:`_predict`.  Cache-policy points (no analytic
-        model) are simply absent from the returned mapping.
-        """
-        import numpy as np
-
-        from ..analytic import AnalyticUnsupported, model_for
-        from ..analytic.batch import (
-            BatchKnobs,
-            BatchUnsupported,
-            batch_objective_arrays,
-            evaluate_batch,
-            onchip_accesses_of,
-        )
-        from ..sim.perf import compute_seconds, memory_seconds
-
-        groups: Dict[Tuple[int, int], List[TunePoint]] = {}
-        for p in points:
-            if p.is_cello:
-                groups.setdefault((p.sram_bytes, p.line_bytes), []).append(p)
-        out: Dict[TunePoint, TuneEval] = {}
-        for ps in groups.values():
-            cfg = ps[0].accel_cfg(self.base_cfg)
-            try:
-                model = model_for(self.workload, ps[0].config_name(), cfg)
-            except AnalyticUnsupported:  # pragma: no cover - CELLO compiles
-                continue
-            entries = np.asarray([p.chord_entries for p in ps], dtype=np.int64)
-            knobs = BatchKnobs.from_columns(
-                len(ps),
-                use_riff=[p.use_riff for p in ps],
-                explicit_retire=[p.explicit_retire for p in ps],
-                charge_swizzle=[p.charge_swizzle for p in ps],
-                chord_entries=entries,
-                capacity_bytes=cfg.chord_data_bytes,
-            )
-            try:
-                ev = evaluate_batch(model, knobs)
-            except BatchUnsupported:
-                for p in ps:
-                    e = self._predict(p)
-                    if e is not None:
-                        out[p] = e
-                continue
-            arrs = batch_objective_arrays(
-                self.objectives, model, ev, cfg, chord_entries=entries)
-            compute_s = compute_seconds(model.program.total_macs, cfg)
-            onchip = onchip_accesses_of(model, cfg)
-            for i, p in enumerate(ps):
-                read = int(ev.dram_read_bytes[i])
-                write = int(ev.dram_write_bytes[i])
-                result = SimResult(
-                    config=p.config_name(),
-                    workload=self.workload.name,
-                    total_macs=model.program.total_macs,
-                    dram_read_bytes=read,
-                    dram_write_bytes=write,
-                    compute_s=compute_s,
-                    memory_s=memory_seconds(read + write, cfg),
-                    onchip_accesses=dict(onchip),
-                )
-                out[p] = TuneEval(
-                    point=p,
-                    config=p.config_name(),
-                    objectives={n: float(arrs[n][i])
-                                for n in self.objectives},
-                    result=result,
-                    fidelity="analytic",
-                )
-        return out
-
     def _note_error(self, predicted: SimResult, exact: SimResult) -> None:
         err = (abs(predicted.dram_bytes - exact.dram_bytes)
                / max(exact.dram_bytes, 1))
@@ -313,20 +218,14 @@ class _BatchEvaluator:
 
     def _analytic_pass(self, todo: List[TunePoint]) -> List[TunePoint]:
         """Price ``todo`` analytically; return the points that still need
-        the simulator (their predictions are kept for error tracking)."""
-        batch = self._batch_predict(
-            [p for p in todo if p not in self.always_exact])
-        predicted: Dict[TunePoint, TuneEval] = {}
-        survivors: List[TunePoint] = []
-        for p in todo:
-            if p in self.always_exact:
-                survivors.append(p)
-                continue
-            e = batch.get(p)
-            if e is None:
-                survivors.append(p)      # no model: oracle fallback
-            else:
-                predicted[p] = e
+        the simulator (their predictions are kept for error tracking).
+        Cache-policy points (no model) and the incumbent always do."""
+        priced = [p for p in dict.fromkeys(todo)
+                  if p.is_cello and p not in self.always_exact]
+        _, analytic_eval = _price_cello(self.workload, self.objectives,
+                                        self.base_cfg, ColumnarGrid.of(priced))
+        predicted = {p: analytic_eval(row) for row, p in enumerate(priced)}
+        survivors = [p for p in todo if p not in predicted]
         if self.fidelity == "analytic":
             for p, e in predicted.items():
                 self.cache[p] = e
@@ -383,106 +282,65 @@ class _BatchEvaluator:
         return [self.cache[p] for p in points]
 
 
-def _columnar_grid_tune(
+def _price_cello(
     workload: Workload,
-    space: TuneSpace,
-    strategy: SearchStrategy,
     names: Tuple[str, ...],
     base_cfg: AcceleratorConfig,
-    jobs: Optional[int],
-    fidelity: str,
-) -> Optional[TuneResult]:
-    """Exhaustive grid search at analytic/hybrid fidelity without ever
-    materialising the grid.
+    grid: ColumnarGrid,
+) -> Tuple[np.ndarray, Callable[[int], TuneEval]]:
+    """The tuner's one analytic pricing core.
 
-    Every CELLO row of :meth:`TuneSpace.columnar` is priced by the batch
-    evaluator (one :func:`evaluate_batch` call per SRAM×line geometry),
-    pruned with one vectorised dominance pass, and only the survivors —
-    plus the incumbent and the cache-policy block, which always simulate
-    — become :class:`TunePoint` objects.  Row order matches the
-    point-wise enumeration, so the first-seen tie rule (and therefore the
-    final frontier and ``best``) is identical to pricing every point
-    individually; dominated rows can never re-enter a frontier, so
-    dropping them from ``evaluations`` leaves the front unchanged.
-
-    Under hybrid fidelity the vectorised prune keeps exactly the *final*
-    analytic frontier — a subset of the insertion-order survivors the
-    incremental point-wise pass re-simulates (that pass also keeps points
-    that joined the running front and were evicted later).  Fewer exact
-    simulations, identical frontier.
-
-    Returns None when the program does not fit the packed batch encoding
-    (:class:`BatchUnsupported`); the caller falls back to the point-wise
-    strategy path.
+    Prices every CELLO row of ``grid``: rows are grouped by (SRAM, line)
+    geometry, and each group makes one :func:`model_for`, one
+    :func:`evaluate_batch` and one :func:`batch_objective_arrays` call.
+    Returns the ``(rows, objectives)`` matrix, columns in ``names``
+    order, and a function turning a row into its analytic
+    :class:`TuneEval` — only the rows a caller keeps ever become
+    objects.
     """
-    import numpy as np
+    # Looked up through their modules at call time, so a wrapper put on
+    # either module attribute (perfbench's layer timers) sees every call.
+    from .. import analytic
+    from ..analytic import batch
 
-    from ..analytic import AnalyticUnsupported, model_for
-    from ..analytic.batch import (
-        BatchKnobs,
-        BatchUnsupported,
-        batch_objective_arrays,
-        evaluate_batch,
-        onchip_accesses_of,
-    )
-    from ..sim.perf import compute_seconds, memory_seconds
-    from .pareto import nondominated_mask
-
-    grid = space.columnar()
-    n_cello = grid.n_cello
-    incumbent_pt = space.default_point()
-    inc_row = grid.cello_index_of(incumbent_pt)
-
-    # One compiled model + one batch call per (SRAM, line) geometry; the
-    # objective matrix is filled column-block by column-block.
     geom = np.stack([grid.sram_bytes, grid.line_bytes], axis=1)
     uniq, group_of = np.unique(geom, axis=0, return_inverse=True)
-    obj_matrix = np.empty((n_cello, len(names)), dtype=np.float64)
-    pos_in_group = np.empty(n_cello, dtype=np.int64)
-    group_data: List[tuple] = []
+    obj_matrix = np.empty((grid.n_cello, len(names)), dtype=np.float64)
+    pos_in_group = np.empty(grid.n_cello, dtype=np.int64)
+    groups: List[tuple] = []
     for g in range(uniq.shape[0]):
         rows = np.flatnonzero(group_of == g)
         pos_in_group[rows] = np.arange(rows.size)
         first = grid.point_at(int(rows[0]))
         cfg = first.accel_cfg(base_cfg)
-        try:
-            model = model_for(workload, first.config_name(), cfg)
-        except AnalyticUnsupported:  # pragma: no cover - CELLO compiles
-            return None
+        model = analytic.model_for(workload, first.config_name(), cfg)
         entries = grid.chord_entries[rows]
-        knobs = BatchKnobs.from_columns(
+        ev = batch.evaluate_batch(model, batch.BatchKnobs.from_columns(
             rows.size,
             use_riff=grid.use_riff[rows],
             explicit_retire=grid.explicit_retire[rows],
             charge_swizzle=grid.charge_swizzle[rows],
             chord_entries=entries,
             capacity_bytes=cfg.chord_data_bytes,
-        )
-        try:
-            ev = evaluate_batch(model, knobs)
-        except BatchUnsupported:
-            return None
-        arrs = batch_objective_arrays(names, model, ev, cfg,
-                                      chord_entries=entries)
+        ))
+        arrs = batch.batch_objective_arrays(names, model, ev, cfg,
+                                            chord_entries=entries)
         for j, name in enumerate(names):
             obj_matrix[rows, j] = arrs[name]
-        group_data.append((model, cfg, ev))
+        groups.append((model, cfg, ev, analytic.onchip_accesses_of(model, cfg)))
 
     def analytic_eval(row: int) -> TuneEval:
-        model, cfg, ev = group_data[int(group_of[row])]
+        model, cfg, ev, onchip = groups[int(group_of[row])]
         i = int(pos_in_group[row])
         p = grid.point_at(row)
-        read = int(ev.dram_read_bytes[i])
-        write = int(ev.dram_write_bytes[i])
-        result = SimResult(
+        result = make_result(
             config=p.config_name(),
             workload=workload.name,
             total_macs=model.program.total_macs,
-            dram_read_bytes=read,
-            dram_write_bytes=write,
-            compute_s=compute_seconds(model.program.total_macs, cfg),
-            memory_s=memory_seconds(read + write, cfg),
-            onchip_accesses=onchip_accesses_of(model, cfg),
+            dram_read_bytes=int(ev.dram_read_bytes[i]),
+            dram_write_bytes=int(ev.dram_write_bytes[i]),
+            cfg=cfg,
+            onchip_accesses=onchip,
         )
         return TuneEval(
             point=p,
@@ -493,10 +351,48 @@ def _columnar_grid_tune(
             fidelity="analytic",
         )
 
+    return obj_matrix, analytic_eval
+
+
+def _columnar_grid_tune(
+    workload: Workload,
+    space: TuneSpace,
+    strategy: SearchStrategy,
+    names: Tuple[str, ...],
+    base_cfg: AcceleratorConfig,
+    jobs: Optional[int],
+    fidelity: str,
+) -> TuneResult:
+    """Exhaustive grid search at analytic/hybrid fidelity without ever
+    materialising the grid.
+
+    Every CELLO row of :meth:`TuneSpace.columnar` is priced by
+    :func:`_price_cello`, pruned with one vectorised dominance pass, and
+    only the survivors — plus the incumbent and the cache-policy block,
+    which always simulate — become :class:`TunePoint` objects.  Row
+    order matches the point-wise enumeration, so the first-seen tie rule
+    (and therefore the final frontier and ``best``) is identical to
+    pricing every point individually; dominated rows can never re-enter
+    a frontier, so dropping them from ``evaluations`` leaves the front
+    unchanged.
+
+    Under hybrid fidelity the vectorised prune keeps exactly the *final*
+    analytic frontier — a subset of the insertion-order survivors the
+    incremental point-wise pass re-simulates (that pass also keeps points
+    that joined the running front and were evicted later).  Fewer exact
+    simulations, identical frontier.
+    """
+    from .pareto import nondominated_mask
+
+    grid = space.columnar()
+    incumbent_pt = space.default_point()
+    inc_row = grid.cello_index_of(incumbent_pt)
+    obj_matrix, analytic_eval = _price_cello(workload, names, base_cfg, grid)
+
     # Vectorised dominance pass over the CELLO block, in enumeration
     # order (minus the incumbent, which is pinned to exact fidelity and
     # never enters the analytic prune — same as the point-wise pass).
-    cello_rows = np.arange(n_cello)
+    cello_rows = np.arange(grid.n_cello)
     if inc_row is not None:
         cello_rows = cello_rows[cello_rows != inc_row]
     survivor_rows = [int(r) for r in
@@ -506,8 +402,8 @@ def _columnar_grid_tune(
     sims_before = runner.simulation_count()
     cache_pts = list(grid.cache_points)
     if fidelity == "hybrid":
-        survivor_pts = [grid.point_at(r) for r in survivor_rows]
         predictions = [analytic_eval(r) for r in survivor_rows]
+        survivor_pts = [e.point for e in predictions]
         exact = evaluator([incumbent_pt] + survivor_pts + cache_pts)
         incumbent = exact[0]
         cello_evals = exact[1:1 + len(survivor_pts)]
@@ -585,10 +481,8 @@ def tune(
         # Exhaustive analytic/hybrid grids take the columnar fast path:
         # no per-point objects, no per-insert Pareto loop, no
         # MAX_GRID_POINTS cap — 10^5+-point spaces price in seconds.
-        columnar = _columnar_grid_tune(
+        return _columnar_grid_tune(
             workload, space, strategy, names, base_cfg, jobs, fidelity)
-        if columnar is not None:
-            return columnar
 
     evaluator = _BatchEvaluator(workload, names, base_cfg, jobs, fidelity)
     evaluator.always_exact.add(space.default_point())

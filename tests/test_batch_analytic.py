@@ -9,7 +9,10 @@ Three contracts, each pinned to its point-wise reference:
   :class:`ParetoFront` match the legacy per-insert dominance loop on
   random fronts (ties and duplicates included);
 * the columnar grid tune path produces the same frontier, best point,
-  and per-point evaluations as the point-wise analytic path.
+  and per-point evaluations as the point-wise strategy path, and every
+  analytic evaluation either path keeps equals the scalar model's;
+* programs too deep for the packed RIFF keys still price exactly,
+  through the scalar fallback inside ``evaluate_batch``.
 """
 
 import random
@@ -24,18 +27,20 @@ from repro.analytic import (
     REGIME_NAMES,
     BatchKnobs,
     batch_objective_arrays,
+    clear_model_cache,
     evaluate_batch,
     model_for,
+    predict_workload_config,
 )
+from repro.analytic import batch as batch_mod
 from repro.baselines import runner
 from repro.baselines.configs import cello_variant_name
-from repro.hw.config import KIB, MIB, AcceleratorConfig
+from repro.hw.config import KIB, MIB, AcceleratorConfig, default_config
 from repro.sim.engine import EngineOptions
 from repro.tuner.pareto import ParetoFront, dominates, nondominated_mask, objective_values
-from repro.tuner.space import TunePoint, TuneSpace
+from repro.tuner.space import ColumnarGrid, TunePoint, TuneSpace
 from repro.tuner.strategies import make_strategy
 from repro.tuner.tuner import _BatchEvaluator, tune
-from repro.tuner import tuner as tuner_mod
 from repro.workloads.registry import random_dag_workload, resolve_workload
 
 
@@ -264,10 +269,11 @@ class TestColumnarGrid:
 
     def test_row_order_matches_points(self):
         space = self._space()
-        grid = space.columnar()
         pts = space.points()
-        assert len(grid) == len(pts) == len(space)
-        assert [grid.point_at(i) for i in range(len(grid))] == list(pts)
+        # The enumerated space, and the same points packed as a batch.
+        for grid in (space.columnar(), ColumnarGrid.of(pts)):
+            assert len(grid) == len(pts) == len(space)
+            assert [grid.point_at(i) for i in range(len(grid))] == list(pts)
 
     def test_cello_index_roundtrip_and_bounds(self):
         space = self._space()
@@ -302,37 +308,37 @@ class TestColumnarGrid:
         assert space.sample(random.Random(0), len(pts) + 5) == pts
 
 
+def _scalar_eval(workload, names, point, base_cfg):
+    """Test-local scalar oracle: one ``predict_workload_config`` (the
+    point-wise ``model.evaluate``) and one ``objective_values`` call."""
+    cfg = point.accel_cfg(base_cfg)
+    result = predict_workload_config(workload, point.config_name(), cfg).result
+    return objective_values(names, result, cfg, point), result
+
+
 class TestColumnarTune:
     WORKLOAD = "gmres/fv1/m=8/N=1"
+    OBJECTIVES = ("runtime", "dram", "area")
 
     def _space(self):
         return TuneSpace(chord_entries=(64, 8, 16, 32),
                          sram_bytes=(4 * MIB, MIB), line_bytes=(16, 32),
                          cache_policies=("LRU",))
 
-    def _pointwise_tune(self, monkeypatch, **kwargs):
-        """The legacy path: columnar fast path off, per-point _predict."""
-        monkeypatch.setattr(tuner_mod, "_columnar_grid_tune",
-                            lambda *a, **k: None)
-        monkeypatch.setattr(
-            _BatchEvaluator, "_batch_predict",
-            lambda self, pts: {
-                p: e for p in pts if p.is_cello
-                for e in [self._predict(p)] if e is not None})
-        return tune(self.WORKLOAD, **kwargs)
-
     @pytest.mark.parametrize("fidelity", ["analytic", "hybrid"])
-    def test_columnar_front_matches_pointwise(self, monkeypatch, fidelity):
+    def test_columnar_front_matches_pointwise(self, fidelity):
+        space = self._space()
         runner.clear_cache()
-        fast = tune(self.WORKLOAD, space=self._space(),
+        fast = tune(self.WORKLOAD, space=space,
                     strategy=make_strategy("grid"),
-                    objectives=("runtime", "dram", "area"),
-                    fidelity=fidelity)
+                    objectives=self.OBJECTIVES, fidelity=fidelity)
         runner.clear_cache()
-        slow = self._pointwise_tune(
-            monkeypatch, space=self._space(),
-            strategy=make_strategy("grid"),
-            objectives=("runtime", "dram", "area"), fidelity=fidelity)
+        # A random budget covering the space proposes every point in
+        # enumeration order, in one batch through the point-wise
+        # _BatchEvaluator pass.
+        slow = tune(self.WORKLOAD, space=space,
+                    strategy=make_strategy("random", budget=len(space)),
+                    objectives=self.OBJECTIVES, fidelity=fidelity)
         runner.clear_cache()
         assert [(e.point, e.vector) for e in fast.front] \
             == [(e.point, e.vector) for e in slow.front]
@@ -346,25 +352,36 @@ class TestColumnarTune:
         for e in fast.evaluations:
             o = by_point[e.point]
             assert e.objectives == o.objectives and e.result == o.result
+        workload = resolve_workload(self.WORKLOAD)
+        base = default_config(None)
+        for e in fast.evaluations + slow.evaluations:
+            if not e.point.is_cello:
+                assert e.fidelity == "exact"     # no model: simulated
+            elif e.fidelity == "analytic":
+                assert (e.objectives, e.result) == _scalar_eval(
+                    workload, self.OBJECTIVES, e.point, base), e.point
 
     def test_batch_routed_analytic_pass_matches_predict(self):
-        from repro.hw.config import default_config
-
         workload = resolve_workload(self.WORKLOAD)
-        evaluator = _BatchEvaluator(
-            workload, ("runtime", "dram", "energy", "area"),
-            default_config(None), jobs=1, fidelity="analytic")
+        base = default_config(None)
+        names = ("runtime", "dram", "energy", "area")
+        evaluator = _BatchEvaluator(workload, names, base, jobs=1,
+                                    fidelity="analytic")
+        # The first 12 rows span every (SRAM, line) geometry of the space.
         pts = [p for p in self._space().points() if p.is_cello][:12]
-        batch = evaluator._batch_predict(pts)
+        assert len({(p.sram_bytes, p.line_bytes) for p in pts}) == 4
+        lru = TunePoint(cache_policy="LRU")
+        # Cache-policy points have no analytic model: left for the
+        # simulator, never priced.
+        assert evaluator._analytic_pass(pts + [lru]) == [lru]
+        assert lru not in evaluator.cache
+        assert evaluator.n_analytic == len(pts)
         for p in pts:
-            ref = evaluator._predict(p)
-            got = batch[p]
-            assert got.objectives == ref.objectives, p
-            assert got.result == ref.result, p
+            got = evaluator.cache[p]
+            objectives, result = _scalar_eval(workload, names, p, base)
+            assert got.objectives == objectives, p
+            assert got.result == result, p
             assert got.fidelity == "analytic"
-        # Cache-policy points have no analytic model: absent, not priced.
-        assert evaluator._batch_predict(
-            [TunePoint(cache_policy="LRU")]) == {}
 
     def test_hundred_thousand_point_hybrid_front_matches_analytic(self):
         """The acceptance-scale run: a 10^5-point hybrid grid tune prices
@@ -393,3 +410,50 @@ class TestColumnarTune:
         # (the incumbent is always priced exactly, even when its vector
         # ties a frontier entry), never the other ~100k points.
         assert hybrid.n_simulations <= len(hybrid.front) + 1
+
+
+class TestPackedKeyFallback:
+    """Programs too deep for the packed RIFF priority keys are priced
+    inside evaluate_batch by the scalar recurrence; no caller sees the
+    limit.  Zero frequency bits make every real program too deep."""
+
+    def test_rows_match_pointwise_in_recurrence_regime(self, monkeypatch):
+        monkeypatch.setattr(batch_mod, "_FREQ_BITS", 0)
+        clear_model_cache()
+        try:
+            cfg = AcceleratorConfig()
+            model = model_for(resolve_workload("gmres/fv1/m=8/N=1"),
+                              "CELLO", cfg)
+            with pytest.raises(batch_mod.BatchUnsupported):
+                batch_mod.batch_program_for(model)
+            knobs = _knob_grid(model, cfg)
+            ev = evaluate_batch(model, knobs)
+            reads, writes, regimes = _pointwise(model, knobs, cfg)
+        finally:
+            clear_model_cache()
+        assert "recurrence" in regimes
+        assert ev.dram_read_bytes.tolist() == reads
+        assert ev.dram_write_bytes.tolist() == writes
+        assert ev.regime_names() == regimes
+
+    def test_hybrid_grid_tune_returns_unpatched_front(self, monkeypatch):
+        space = TuneSpace(chord_entries=(64, 8, 16, 32),
+                          sram_bytes=(4 * MIB, MIB))
+
+        def front():
+            runner.clear_cache()
+            clear_model_cache()
+            try:
+                result = tune("gmres/fv1/m=8/N=1", space=space,
+                              strategy=make_strategy("grid"),
+                              objectives=("runtime", "dram", "area"),
+                              fidelity="hybrid")
+            finally:
+                runner.clear_cache()
+                clear_model_cache()
+            return [(e.point, e.vector) for e in result.front]
+
+        expected = front()
+        monkeypatch.setattr(batch_mod, "_FREQ_BITS", 0)
+        assert front() == expected
+

@@ -185,10 +185,15 @@ class TestTuneCli:
         assert "tune failed" in capsys.readouterr().err
 
     def test_invalid_space_rejected(self, capsys):
-        assert main([
-            "tune", "cg/fv1/N=1@it2", "--entries", "64,64", "--no-cache",
-        ]) == 2
-        assert "invalid tune space" in capsys.readouterr().err
+        # Duplicate axis values, and axis values no point may take (a
+        # zero-entry index table), are refused before any fidelity runs.
+        for entries, fidelity in [("64,64", "exact"), ("64,0", "exact"),
+                                  ("64,0", "analytic"), ("64,0", "hybrid")]:
+            assert main([
+                "tune", "cg/fv1/N=1@it2", "--entries", entries,
+                "--fidelity", fidelity, "--no-cache",
+            ]) == 2, (entries, fidelity)
+            assert "invalid tune space" in capsys.readouterr().err
 
     def test_unknown_strategy_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

@@ -123,6 +123,13 @@ class TestTuneSpace:
             TuneSpace(sram_bytes=(MIB, MIB))
         with pytest.raises(ValueError):
             TuneSpace(cache_policies=("FIFO",))
+        # Every axis value must be a valid TunePoint knob on its own.
+        with pytest.raises(ValueError, match="positive"):
+            TuneSpace(chord_entries=(64, 0))
+        with pytest.raises(ValueError, match="positive"):
+            TuneSpace(sram_bytes=(4 * MIB, -MIB))
+        with pytest.raises(ValueError, match="power of two"):
+            TuneSpace(line_bytes=(16, 24))
 
 
 class TestParetoFront:
